@@ -379,7 +379,6 @@ fn run_degradation() -> bool {
     let h_main = Arc::clone(&harness);
     let dead = Arc::new(AtomicBool::new(false));
     let outcomes = SpmdBuilder::new(2)
-        .faults(FaultPlan::seeded(1).arm())
         .platform(|_| hiper_platform::autogen::figure2(1))
         .run(
             move |rank, transport| {

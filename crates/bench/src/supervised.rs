@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hiper_checkpoint::CheckpointModule;
-use hiper_netsim::{FaultPlan, KillSpec, NetConfig, SpmdBuilder, SupervisedCtx, SupervisorHarness};
+use hiper_netsim::{KillSpec, NetConfig, SpmdBuilder, SupervisedCtx, SupervisorHarness};
 use hiper_runtime::SchedulerModule;
 use hiper_shmem::{ShmemModule, ShmemWorld};
 use parking_lot::Mutex;
@@ -78,10 +78,8 @@ fn run_supervised_rounds(
 
     let digest = SpmdBuilder::new(nranks)
         .net(NetConfig::default())
-        // Supervision arms the reliable layers (epochs, retention logs)
-        // even though the plan itself injects nothing: the kill is driven
-        // cooperatively by the seeded crash points.
-        .faults(FaultPlan::seeded(0).arm())
+        // No fault plan: the kill is driven cooperatively by the seeded
+        // crash points.
         // figure2 has both the Interconnect place (SHMEM) and the
         // Nvm/LocalDisk places (checkpoints).
         .platform(|_| hiper_platform::autogen::figure2(1))

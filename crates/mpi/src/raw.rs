@@ -145,10 +145,10 @@ struct MatchState {
 
 /// One rank's endpoint of the raw messaging library (MPI_COMM_WORLD).
 ///
-/// All traffic is routed through a [`ReliableTransport`]: with no armed
-/// fault plan it is a pass-through, but under fault injection every message
-/// is acked, retransmitted with exponential backoff on timeout, and
-/// resequenced, so MPI matching semantics survive drops and reordering.
+/// All traffic is routed through a [`ReliableTransport`], fault plan or
+/// not: every message is sequenced, acked, retransmitted with exponential
+/// backoff on timeout, and resequenced, so MPI matching sees per-source
+/// FIFO even under drops and reordering.
 pub struct RawComm {
     transport: Arc<ReliableTransport>,
     state: Mutex<MatchState>,

@@ -84,17 +84,6 @@ impl Transport {
         self.engine.stats.snapshot()
     }
 
-    /// The armed fault plan, if any. Communication modules consult this to
-    /// decide whether to wrap themselves in a [`crate::ReliableTransport`].
-    pub fn fault_plan(&self) -> Option<&crate::FaultPlan> {
-        self.engine.fault_plan()
-    }
-
-    /// True when fault injection is armed (reliable delivery required).
-    pub fn faults_active(&self) -> bool {
-        self.engine.fault_plan().is_some()
-    }
-
     /// The shared delivery engine. Recovery drivers use this to sever and
     /// restore a rank (`set_rank_down`) and to subscribe to rank events.
     pub fn engine(&self) -> &Arc<DeliveryEngine> {

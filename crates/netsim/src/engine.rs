@@ -274,6 +274,11 @@ struct InFlight {
     msg: Message,
 }
 
+/// Index of a message's handler in [`DeliveryEngine`]'s handler table.
+fn handler_key(msg: &Message) -> usize {
+    msg.dst * 256 + msg.channel.0 as usize
+}
+
 /// Slots per wheel; with [`SLOT_NS`] this spans a ~4.2 ms horizon, well
 /// past every modeled latency + jitter in the test grids. Longer dues go
 /// to the overflow map and migrate in as the cursor advances.
@@ -579,16 +584,15 @@ impl DeliveryEngine {
         self.config
     }
 
-    /// The armed fault plan, if any. Reliable transports consult this to
-    /// decide whether to arm acking/retry (pass-through on `None`).
-    pub fn fault_plan(&self) -> Option<&crate::FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Registers the handler for (`rank`, `channel`). Replaces any previous
-    /// handler.
+    /// handler. Messages that arrived before it are delivered first, in
+    /// arrival order.
     pub fn register_handler(&self, rank: Rank, channel: crate::Channel, handler: Handler) {
         self.handlers.write()[rank * 256 + channel.0 as usize] = Some(Arc::new(handler));
+        // Wake the delivery thread to release parked messages; notifying
+        // under `sleep_mx` pairs with the re-check in `sleep_until`.
+        let _g = self.sleep_mx.lock();
+        self.cond.notify_all();
     }
 
     /// Registers a listener for supervised rank lifecycle transitions.
@@ -943,13 +947,15 @@ impl DeliveryEngine {
 
     /// Parks the delivery thread until `target` (or a nominal idle tick
     /// when `None`), unless a closer due appears between the last scan and
-    /// the park — the publish-then-reverify handshake with senders.
-    fn sleep_until(&self, target: Option<u64>) {
+    /// the park — the publish-then-reverify handshake with senders — or a
+    /// handler for a `parked` message registered (the same handshake with
+    /// [`register_handler`](DeliveryEngine::register_handler)).
+    fn sleep_until(&self, target: Option<u64>, parked: &[InFlight]) {
         let mut g = self.sleep_mx.lock();
         let t = target.unwrap_or(u64::MAX);
         self.sleep_target.store(t, Ordering::SeqCst);
         let (min, _) = self.min_earliest();
-        if self.shutdown.load(Ordering::SeqCst) || min < t {
+        if self.shutdown.load(Ordering::SeqCst) || min < t || self.parked_releasable(parked) {
             self.sleep_target.store(0, Ordering::SeqCst);
             return;
         }
@@ -968,13 +974,19 @@ impl DeliveryEngine {
     }
 
     fn run(self: &Arc<Self>) {
+        // Messages that matured before their (dst, channel) handler
+        // registered, in arrival order. Only this thread touches them.
+        let mut parked: Vec<InFlight> = Vec::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
+            if !parked.is_empty() {
+                self.release_parked(&mut parked);
+            }
             let (mut best_due, mut best_shard) = self.min_earliest();
             if best_due == u64::MAX {
-                self.sleep_until(None);
+                self.sleep_until(None, &parked);
                 continue;
             }
             let now = clock::now_ns();
@@ -982,7 +994,7 @@ impl DeliveryEngine {
                 if best_due - now > self.spin_ns {
                     // Far out: condvar-sleep to within the spin window
                     // (the wait's timer slack lands inside it), then spin.
-                    self.sleep_until(Some(best_due - self.spin_ns));
+                    self.sleep_until(Some(best_due - self.spin_ns), &parked);
                     continue;
                 }
                 // Near-due: spin on the shared clock. A condvar wait here
@@ -1025,116 +1037,130 @@ impl DeliveryEngine {
             if hiper_metrics::enabled() {
                 in_flight_gauge().set(self.in_flight.load(Ordering::Relaxed) as i64);
             }
-            let InFlight {
-                due,
-                mut msg,
-                msg_id,
-                ..
-            } = entry;
-            let handler = {
-                let table = self.handlers.read();
-                table[msg.dst * 256 + msg.channel.0 as usize].clone()
-            };
-            // Run the handler outside all locks so handlers may re-enter
-            // send().
-            match handler {
-                Some(h) => {
-                    // Publish "delivering to dst" before re-checking the
-                    // down flags: paired SeqCst accesses in
-                    // `set_rank_down` guarantee that either this thread
-                    // sees the kill, or the killer waits for the
-                    // handler — a queued message can never mutate a
-                    // rank's state after `set_rank_down` returned.
-                    self.delivering.store(msg.dst as u64 + 1, Ordering::SeqCst);
-                    if self.severed(msg.src) || self.severed(msg.dst) {
-                        self.delivering.store(0, Ordering::SeqCst);
-                        self.drop_msg(&msg, 2);
-                        continue;
-                    }
-                    if hiper_trace::enabled() {
-                        // Stamped at the modeled due time (the engine
-                        // drains at due + scheduling lateness; the
-                        // *timeline* delivery is `due`). The exporter
-                        // re-sorts globally, so the out-of-emit-order
-                        // timestamp is harmless.
-                        hiper_trace::emit_at(
-                            due,
-                            EventKind::NetDeliver,
-                            link_word(msg.src, msg.dst),
-                            msg.wire_bytes() as u64,
-                            0,
-                        );
-                        hiper_trace::emit_at(
-                            due,
-                            EventKind::MsgDeliver,
-                            msg.span,
-                            link_word(msg.src, msg.dst),
-                            msg_id,
-                        );
-                    }
-                    // A panicking handler must not kill the delivery
-                    // engine: the whole cluster would silently hang.
-                    let info = (msg.src, msg.dst, msg.channel, msg.tag, msg.wire_bytes());
-                    // Run the handler under the sender's span so any
-                    // send or task spawn it performs (echo replies,
-                    // SHMEM get/amo replies, acks) inherits the remote
-                    // causal parent.
-                    let span = msg.span;
-                    let prev_span = hiper_trace::set_current_task(span);
-                    let dbg = crate::supervise::debug_enabled();
-                    if dbg {
-                        *self.dbg_delivery.lock() =
-                            Some((info.0, info.1, info.2 .0, info.3, std::time::Instant::now()));
-                    }
-                    // Stamp the modeled deadline so layered protocols can
-                    // timestamp logical sub-messages they unpack.
-                    msg.due_ns = due;
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h(msg)));
-                    // Clear the marker as soon as the handler is out of
-                    // flight: pause_rank/set_rank_down spin on it, and a
-                    // stale `dst + 1` from the *last* delivery would spin
-                    // them forever once the queue drains idle.
-                    self.delivering.store(0, Ordering::SeqCst);
-                    if dbg {
-                        *self.dbg_delivery.lock() = None;
-                    }
-                    hiper_trace::set_current_task(prev_span);
-                    if result.is_err() {
-                        let (src, dst, channel, tag, wire) = info;
-                        self.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        if hiper_trace::enabled() {
-                            hiper_trace::emit(
-                                EventKind::NetDrop,
-                                link_word(src, dst),
-                                wire as u64,
-                                3,
-                            );
-                        }
-                        eprintln!(
-                            "[hiper-netsim] delivery handler panicked; message dropped \
-                             (src={} dst={} channel={} tag={:#x})",
-                            src, dst, channel.0, tag
-                        );
-                    }
-                }
-                None => {
-                    // No handler yet: requeue briefly. This covers the
-                    // startup race where rank 0 sends before rank N has
-                    // registered its module handlers.
-                    let due = clock::now_ns() + 200_000;
-                    let shard = &self.shards[msg.dst];
-                    let mut st = shard.state.lock();
-                    st.wheel.insert(InFlight {
-                        due,
-                        seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                        msg_id,
-                        msg,
-                    });
-                    shard.earliest.fetch_min(due, Ordering::SeqCst);
-                    self.in_flight.fetch_add(1, Ordering::Relaxed);
+            if parked.is_empty() {
+                let handler = self.handlers.read()[handler_key(&entry.msg)].clone();
+                if let Some(h) = handler {
+                    self.dispatch(&h, entry);
+                    continue;
                 }
             }
+            // No handler yet (the startup race: rank 0 sends before rank N
+            // registered its module handlers), or earlier traffic is
+            // parked: queue behind it so release keeps arrival order.
+            self.in_flight.fetch_add(1, Ordering::Relaxed);
+            parked.push(entry);
+            self.release_parked(&mut parked);
+        }
+    }
+
+    /// Delivers, in arrival order, the parked messages whose handler has
+    /// registered; the rest stay parked. One read of the handler table
+    /// decides for all, so messages to one handler share one fate.
+    fn release_parked(&self, parked: &mut Vec<InFlight>) {
+        let ready: Vec<(Arc<Handler>, InFlight)> = {
+            let table = self.handlers.read();
+            let mut ready = Vec::new();
+            for e in std::mem::take(parked) {
+                match &table[handler_key(&e.msg)] {
+                    Some(h) => ready.push((Arc::clone(h), e)),
+                    None => parked.push(e),
+                }
+            }
+            ready
+        };
+        for (h, entry) in ready {
+            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+            self.dispatch(&h, entry);
+        }
+    }
+
+    /// True when some parked message's handler has registered.
+    fn parked_releasable(&self, parked: &[InFlight]) -> bool {
+        if parked.is_empty() {
+            return false;
+        }
+        let table = self.handlers.read();
+        parked.iter().any(|e| table[handler_key(&e.msg)].is_some())
+    }
+
+    /// Runs `h` on a matured message, outside all locks so handlers may
+    /// re-enter send().
+    fn dispatch(&self, h: &Handler, entry: InFlight) {
+        let InFlight {
+            due,
+            mut msg,
+            msg_id,
+            ..
+        } = entry;
+        // Publish "delivering to dst" before re-checking the down flags:
+        // paired SeqCst accesses in `set_rank_down` guarantee that either
+        // this thread sees the kill, or the killer waits for the handler —
+        // a queued message can never mutate a rank's state after
+        // `set_rank_down` returned.
+        self.delivering.store(msg.dst as u64 + 1, Ordering::SeqCst);
+        if self.severed(msg.src) || self.severed(msg.dst) {
+            self.delivering.store(0, Ordering::SeqCst);
+            self.drop_msg(&msg, 2);
+            return;
+        }
+        if hiper_trace::enabled() {
+            // Stamped at the modeled due time (the engine drains at due +
+            // scheduling lateness; the *timeline* delivery is `due`). The
+            // exporter re-sorts globally, so the out-of-emit-order
+            // timestamp is harmless.
+            hiper_trace::emit_at(
+                due,
+                EventKind::NetDeliver,
+                link_word(msg.src, msg.dst),
+                msg.wire_bytes() as u64,
+                0,
+            );
+            hiper_trace::emit_at(
+                due,
+                EventKind::MsgDeliver,
+                msg.span,
+                link_word(msg.src, msg.dst),
+                msg_id,
+            );
+        }
+        // A panicking handler must not kill the delivery engine: the whole
+        // cluster would silently hang.
+        let info = (msg.src, msg.dst, msg.channel, msg.tag, msg.wire_bytes());
+        // Run the handler under the sender's span so any send or task spawn
+        // it performs (echo replies, SHMEM get/amo replies, acks) inherits
+        // the remote causal parent.
+        let span = msg.span;
+        let prev_span = hiper_trace::set_current_task(span);
+        let dbg = crate::supervise::debug_enabled();
+        if dbg {
+            *self.dbg_delivery.lock() =
+                Some((info.0, info.1, info.2 .0, info.3, std::time::Instant::now()));
+        }
+        // Stamp the modeled deadline so layered protocols can timestamp
+        // logical sub-messages they unpack.
+        msg.due_ns = due;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h(msg)));
+        // Clear the marker as soon as the handler is out of flight:
+        // pause_rank/set_rank_down spin on it, and a stale `dst + 1` from
+        // the *last* delivery would spin them forever once the queue drains
+        // idle.
+        self.delivering.store(0, Ordering::SeqCst);
+        if dbg {
+            *self.dbg_delivery.lock() = None;
+        }
+        hiper_trace::set_current_task(prev_span);
+        if result.is_err() {
+            let (src, dst, channel, tag, wire) = info;
+            self.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            if hiper_trace::enabled() {
+                hiper_trace::emit(EventKind::NetDrop, link_word(src, dst), wire as u64, 3);
+            }
+            eprintln!(
+                "[hiper-netsim] delivery handler panicked; message dropped \
+                 (src={} dst={} channel={} tag={:#x})",
+                src, dst, channel.0, tag
+            );
         }
     }
 }
@@ -1301,7 +1327,10 @@ mod tests {
                 tx.send(m.tag).unwrap();
             }),
         );
+        // Sent right after registration: must not overtake the parked 9.
+        engine.send(msg(0, 1, 10, 0));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 10);
         engine.stop();
     }
 

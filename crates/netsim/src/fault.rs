@@ -85,12 +85,6 @@ pub struct FaultPlan {
     pub partitions: Vec<Partition>,
     /// Windowed or permanent rank kills.
     pub kills: Vec<RankKill>,
-    /// Forces [`is_active`](FaultPlan::is_active) true even when nothing
-    /// probabilistic or windowed is configured. Supervised-execution runs
-    /// set this: the kill is driven *cooperatively* (seeded crash points,
-    /// not wall-clock windows), but the reliable layers must still arm so
-    /// epochs, retention logs, and recovery work.
-    pub armed: bool,
 }
 
 impl FaultPlan {
@@ -144,19 +138,12 @@ impl FaultPlan {
         self
     }
 
-    /// Forces the plan active (see the `armed` field): reliable layers arm
-    /// even though the plan itself perturbs nothing.
-    pub fn arm(mut self) -> FaultPlan {
-        self.armed = true;
-        self
-    }
-
-    /// True when the plan can actually perturb traffic. Pass-through layers
-    /// (reliable delivery, FIFO-clamp bypass) only arm themselves when this
-    /// holds, so a `None`-plan run stays on the fault-free fast path.
+    /// True when the plan can actually perturb traffic. The delivery engine
+    /// drops an inactive plan, so such a run skips the per-link fault
+    /// decisions entirely; the reliable layer above runs the same path
+    /// either way.
     pub fn is_active(&self) -> bool {
-        self.armed
-            || self.drop_p > 0.0
+        self.drop_p > 0.0
             || self.dup_p > 0.0
             || self.reorder_p > 0.0
             || !self.jitter.is_zero()

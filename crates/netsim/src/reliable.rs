@@ -1,10 +1,10 @@
-//! Ack-based reliable delivery over a lossy [`Transport`], with
-//! epoch-numbered incarnations for rank restart.
+//! Ack-based reliable delivery over a [`Transport`], with epoch-numbered
+//! incarnations for rank restart.
 //!
-//! When a [`crate::FaultPlan`] is armed, the wire may drop, duplicate,
-//! reorder and delay messages. `ReliableTransport` restores exactly-once,
-//! in-order delivery per (src, dst) pair with the classic recipe
-//! (DESIGN.md §2.9):
+//! Every endpoint runs this one path whether or not a [`crate::FaultPlan`]
+//! is armed. When one is, the wire may drop, duplicate, reorder and delay
+//! messages; `ReliableTransport` restores exactly-once, in-order delivery
+//! per (src, dst) pair with the classic recipe (DESIGN.md §2.9):
 //!
 //! * every data payload is framed with a per-destination sequence number;
 //! * the receiver delivers in sequence order, holds early frames in a
@@ -25,14 +25,12 @@
 //!   retransmits, and restart replay all share one `Bytes` buffer
 //!   ([`payload_copies_avoided`](ReliableStatsSnapshot) counts frames that
 //!   shipped by reference).
-//! * **Ack coalescing + piggybacking.** A received DATA frame no longer
-//!   triggers an immediate standalone ACK. The receiver owes an ack and
+//! * **Ack coalescing + piggybacking.** A received DATA frame does not
+//!   trigger an immediate standalone ACK. The receiver owes an ack and
 //!   either piggybacks the cumulative ack on the next reverse-direction
-//!   DATA/JUMBO frame, flushes a standalone ACK once
-//!   [`ack_threshold`](ReliableTransport) frames are owed, or lets the
-//!   retry thread flush it after a short delay (`HIPER_NET_ACK_DELAY_US`,
-//!   default 100 µs — far below the 2 ms retransmit timeout, so delaying
-//!   never provokes spurious retransmits).
+//!   DATA/JUMBO frame, flushes a standalone ACK once 16 frames are owed,
+//!   or lets the retry thread flush it after 100 µs — far below the 2 ms
+//!   retransmit timeout, so delaying never provokes spurious retransmits.
 //! * **Send coalescing.** Small frames sent while earlier traffic to the
 //!   same peer is still unacked are *staged* and flushed as one JUMBO
 //!   frame per channel (by size/count threshold, flush deadline, or when
@@ -41,6 +39,15 @@
 //!   exactly as if each frame had traveled alone. The first frame of a
 //!   burst always goes straight to the wire — request/response latency is
 //!   never Nagled.
+//!
+//! # Lazy timers
+//!
+//! One retry thread per endpoint serves every deadline (head-of-line
+//! retransmit, stage flush, ack flush, `RESTART` resend). It records the
+//! instant it sleeps until; a send or receipt wakes it only when it arms a
+//! deadline earlier than that instant. Acks that retire frames do not
+//! cancel timers: the thread re-reads every deadline when it wakes, so a
+//! retired deadline costs at most one idle wake-up.
 //!
 //! # Epochs and rank restart (DESIGN.md §2.13)
 //!
@@ -64,10 +71,6 @@
 //! periodic `CKPT(watermark)` frame confirms they are covered by a durable
 //! snapshot. The `RESTART` resync replays the log, reconstructing every
 //! delivered-then-rolled-back message.
-//!
-//! On a fault-free engine (no plan armed) every call passes straight
-//! through to the raw transport: no framing, no acks, no retry thread —
-//! zero overhead for normal runs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -134,43 +137,36 @@ impl Default for RetryConfig {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Age of an owed ack before the retry thread flushes it standalone; two
+/// orders of magnitude below the 2 ms retransmit timeout, so a delayed ack
+/// never looks like loss.
+const ACK_DELAY: Duration = Duration::from_micros(100);
 
-/// Send-coalescing (Nagle) thresholds. Defaults come from the
-/// `HIPER_NET_COALESCE*` env knobs (README "Message-path tuning");
-/// [`ReliableTransport::set_coalesce`] overrides them programmatically —
-/// tests use the setter, because env vars race across parallel test
-/// threads in one binary.
+/// Owed-ack count that forces an immediate standalone flush.
+const ACK_THRESHOLD: u32 = 16;
+
+/// Send-coalescing (Nagle) thresholds. [`ReliableTransport::set_coalesce`]
+/// overrides the defaults; the chaos proptest uses it to force aggressive
+/// staging.
 #[derive(Debug, Clone, Copy)]
 pub struct CoalesceConfig {
-    /// Master switch (`HIPER_NET_COALESCE=0` disables).
-    pub enabled: bool,
-    /// Only frames with payloads at most this large are staged
-    /// (`HIPER_NET_COALESCE_MAX`).
+    /// Only frames with payloads at most this large are staged.
     pub max_payload: usize,
-    /// Flush the stage once it holds this many payload bytes
-    /// (`HIPER_NET_COALESCE_BYTES`).
+    /// Flush the stage once it holds this many payload bytes.
     pub flush_bytes: usize,
-    /// Flush the stage once it holds this many frames
-    /// (`HIPER_NET_COALESCE_FRAMES`).
+    /// Flush the stage once it holds this many frames.
     pub flush_frames: usize,
-    /// Flush deadline for a non-full stage (`HIPER_NET_COALESCE_DELAY_US`).
+    /// Flush deadline for a non-full stage.
     pub delay: Duration,
 }
 
 impl Default for CoalesceConfig {
     fn default() -> CoalesceConfig {
         CoalesceConfig {
-            enabled: std::env::var("HIPER_NET_COALESCE").map_or(true, |v| v != "0"),
-            max_payload: env_u64("HIPER_NET_COALESCE_MAX", 512) as usize,
-            flush_bytes: env_u64("HIPER_NET_COALESCE_BYTES", 4096) as usize,
-            flush_frames: env_u64("HIPER_NET_COALESCE_FRAMES", 16) as usize,
-            delay: Duration::from_micros(env_u64("HIPER_NET_COALESCE_DELAY_US", 100)),
+            max_payload: 512,
+            flush_bytes: 4096,
+            flush_frames: 16,
+            delay: Duration::from_micros(100),
         }
     }
 }
@@ -192,6 +188,20 @@ struct Out {
     header: Bytes,
     payload: Bytes,
     span: u64,
+}
+
+impl Out {
+    /// A header-only control frame (ACK, RESTART, CKPT, ...).
+    fn control(dst: Rank, channel: Channel, header: Bytes) -> Out {
+        Out {
+            dst,
+            channel,
+            tag: 0,
+            header,
+            payload: Bytes::new(),
+            span: 0,
+        }
+    }
 }
 
 /// Per-peer sender + receiver state.
@@ -294,13 +304,36 @@ struct State {
     peers: Vec<Peer>,
     /// First unreachability error, if any ([`ReliableTransport::health`]).
     error: Option<ModuleError>,
-    /// Retry thread handle bookkeeping: true once spawned.
-    retry_running: bool,
+    /// The instant the retry thread sleeps until. A deadline armed earlier
+    /// than this lowers it and wakes the thread; later ones wait for it.
+    sleep_until: Instant,
     /// Channels with registered handlers; control frames (`RESTART`,
     /// `CKPT`, delayed acks) travel on the first one.
     channels: Vec<Channel>,
     /// Send-coalescing thresholds.
     coalesce: CoalesceConfig,
+}
+
+impl State {
+    /// Called after arming deadlines on `peer`: true when one of them is
+    /// earlier than the retry thread's wake-up instant, which it then
+    /// lowers. The caller must notify the thread after unlocking.
+    fn wake_needed(&mut self, peer: Rank) -> bool {
+        let p = &self.peers[peer];
+        let deadlines = [
+            p.head_deadline,
+            p.stage_deadline,
+            p.ack_deadline,
+            p.restart_deadline,
+        ];
+        match deadlines.into_iter().flatten().min() {
+            Some(d) if d < self.sleep_until => {
+                self.sleep_until = d;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Point-in-time copy of the reliable layer's message-path counters
@@ -336,22 +369,19 @@ impl std::fmt::Display for ReliableStatsSnapshot {
     }
 }
 
-/// Exactly-once, in-order delivery on top of a faulty [`Transport`];
-/// transparent pass-through on a reliable one.
+/// Exactly-once, in-order delivery per (src, dst) pair on top of a
+/// [`Transport`], whether or not its wire injects faults.
 pub struct ReliableTransport {
     transport: Transport,
     module: &'static str,
     cfg: RetryConfig,
-    enabled: bool,
-    /// Delay before a standalone ack flush (`HIPER_NET_ACK_DELAY_US`).
-    ack_delay: Duration,
-    /// Owed-ack count that forces an immediate standalone flush
-    /// (`HIPER_NET_ACK_THRESHOLD`).
-    ack_threshold: u32,
     /// Retain acked frames for restart replay (supervised runs).
     retention: AtomicBool,
     state: Mutex<State>,
+    /// Wakes the retry thread (see [`State::sleep_until`]).
     cond: Condvar,
+    /// Wakes [`flush`](ReliableTransport::flush) waiters on ack arrival.
+    acked: Condvar,
     /// Retransmitted frames (chaos-run diagnostics).
     pub retries: AtomicU64,
     /// Logical frames shipped inside JUMBO carriers.
@@ -372,28 +402,24 @@ pub struct ReliableTransport {
 
 impl ReliableTransport {
     /// Wraps `transport`; `module` names the owner in errors and stats.
-    /// Reliable framing arms itself only when the underlying engine has an
-    /// active fault plan.
     pub fn new(transport: Transport, module: &'static str, cfg: RetryConfig) -> Arc<Self> {
-        let enabled = transport.faults_active();
         let nranks = transport.nranks();
         let me = Arc::new(ReliableTransport {
             transport,
             module,
             cfg,
-            enabled,
-            ack_delay: Duration::from_micros(env_u64("HIPER_NET_ACK_DELAY_US", 100)),
-            ack_threshold: env_u64("HIPER_NET_ACK_THRESHOLD", 16) as u32,
             retention: AtomicBool::new(false),
             state: Mutex::new(State {
                 my_epoch: 0,
                 peers: (0..nranks).map(|_| Peer::default()).collect(),
                 error: None,
-                retry_running: false,
+                // The thread scans every deadline when it starts.
+                sleep_until: Instant::now(),
                 channels: Vec::new(),
                 coalesce: CoalesceConfig::default(),
             }),
             cond: Condvar::new(),
+            acked: Condvar::new(),
             retries: AtomicU64::new(0),
             frames_coalesced: AtomicU64::new(0),
             acks_piggybacked: AtomicU64::new(0),
@@ -402,11 +428,12 @@ impl ReliableTransport {
             _watchdog_probe: Mutex::new(None),
             _watchdog_info: Mutex::new(None),
         });
+        me.spawn_retry_thread();
         // Under the watchdog, a head-of-line frame burning through its
         // retry budget (or a peer already declared dead) is evidence that
         // "no progress" is a wedged wire, not an idle app. The probe holds
         // a weak ref so it never outlives the endpoint.
-        if enabled && hiper_runtime::watchdog::recording() {
+        if hiper_runtime::watchdog::recording() {
             let weak = Arc::downgrade(&me);
             let name = format!("reliable[{} rank {}]", module, me.transport.rank());
             let probe = hiper_runtime::watchdog::register_probe(name, move || {
@@ -514,16 +541,6 @@ impl ReliableTransport {
         self.transport.nranks()
     }
 
-    /// The wrapped raw transport.
-    pub fn raw_transport(&self) -> &Transport {
-        &self.transport
-    }
-
-    /// True when acked delivery is armed (a fault plan is active).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Retransmissions so far.
     pub fn retry_count(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
@@ -540,17 +557,13 @@ impl ReliableTransport {
         }
     }
 
-    /// Overrides the send-coalescing thresholds (tests; the env knobs set
-    /// the process-wide default).
+    /// Overrides the send-coalescing thresholds.
     pub fn set_coalesce(&self, cfg: CoalesceConfig) {
         self.state.lock().coalesce = cfg;
     }
 
     /// This endpoint's current epoch (incarnation number).
     pub fn epoch(&self) -> u32 {
-        if !self.enabled {
-            return 0;
-        }
         self.state.lock().my_epoch
     }
 
@@ -579,9 +592,6 @@ impl ReliableTransport {
     ///
     /// [`restart`]: ReliableTransport::restart
     pub fn recv_watermarks(&self) -> Vec<u64> {
-        if !self.enabled {
-            return vec![0; self.transport.nranks()];
-        }
         self.state
             .lock()
             .peers
@@ -594,9 +604,6 @@ impl ReliableTransport {
     /// `watermarks[peer]` are covered by the snapshot and may leave the
     /// peers' replay logs. Call with the watermarks stored in the snapshot.
     pub fn checkpoint_mark(&self, watermarks: &[u64]) {
-        if !self.enabled {
-            return;
-        }
         let me = self.transport.rank();
         let (epoch, channel) = {
             let st = self.state.lock();
@@ -609,8 +616,7 @@ impl ReliableTransport {
             if dst == me {
                 continue;
             }
-            self.transport
-                .send_framed(dst, channel, 0, ckpt_header(epoch, w), Bytes::new(), 0);
+            self.send_control(dst, channel, ckpt_header(epoch, w));
         }
     }
 
@@ -632,9 +638,6 @@ impl ReliableTransport {
     /// [`restart`]: ReliableTransport::restart
     /// [`SupervisorHarness::crash_point`]: crate::SupervisorHarness::crash_point
     pub fn flush(&self, timeout: Duration) -> bool {
-        if !self.enabled {
-            return true;
-        }
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
@@ -648,9 +651,9 @@ impl ReliableTransport {
             if Instant::now() >= deadline || self.transport.engine().is_stopped() {
                 return false;
             }
-            // Ack arrivals (and engine stop) notify this condvar from
-            // `on_wire`; the 1ms tick is only a safety net.
-            self.cond.wait_for(&mut st, Duration::from_millis(1));
+            // Ack arrivals (and engine stop) notify this condvar; the 1ms
+            // tick is only a safety net.
+            self.acked.wait_for(&mut st, Duration::from_millis(1));
         }
     }
 
@@ -660,10 +663,7 @@ impl ReliableTransport {
     /// grants the head-of-line frame a fresh budget and retransmits
     /// immediately.
     pub fn quiesce_peer(&self, peer: Rank, on: bool) {
-        if !self.enabled {
-            return;
-        }
-        {
+        let wake = {
             let mut st = self.state.lock();
             let p = &mut st.peers[peer];
             p.quiesced = on;
@@ -682,8 +682,11 @@ impl ReliableTransport {
                     p.restart_deadline = Some(Instant::now());
                 }
             }
+            st.wake_needed(peer)
+        };
+        if wake {
+            self.cond.notify_all();
         }
-        self.cond.notify_all();
     }
 
     /// Restarts this endpoint as a new incarnation restored from a
@@ -695,9 +698,6 @@ impl ReliableTransport {
     ///
     /// [`recv_watermarks`]: ReliableTransport::recv_watermarks
     pub fn restart(self: &Arc<Self>, recv_watermarks: &[u64]) -> u32 {
-        if !self.enabled {
-            return 0;
-        }
         let me = self.transport.rank();
         let now = Instant::now();
         let (epoch, channel, restarts) = {
@@ -757,38 +757,31 @@ impl ReliableTransport {
                 peer.restart_attempts = 0;
                 restarts.push((dst, cum));
             }
+            // Every pending RESTART resends from now.
+            st.sleep_until = now;
             (epoch, channel, restarts)
         };
         if let Some(channel) = channel {
             for (dst, cum) in restarts {
-                self.transport.send_framed(
-                    dst,
-                    channel,
-                    0,
-                    restart_header(epoch, cum),
-                    Bytes::new(),
-                    0,
-                );
+                self.send_control(dst, channel, restart_header(epoch, cum));
             }
         }
-        self.ensure_retry_thread();
         self.cond.notify_all();
         epoch
     }
 
-    /// Sends `payload` to `dst`, reliably when faults are armed. Sends to a
-    /// peer already declared unreachable are discarded (see [`health`]).
+    /// Sends `payload` to `dst`: sequenced, retained until acked, and
+    /// retransmitted on timeout. Small payloads sent while the link is busy
+    /// may be staged and shipped inside a JUMBO frame. Sends to a peer
+    /// already declared unreachable are discarded (see [`health`]).
     ///
     /// [`health`]: ReliableTransport::health
     pub fn send(self: &Arc<Self>, dst: Rank, channel: Channel, tag: u64, payload: Bytes) {
-        if !self.enabled {
-            return self.transport.send(dst, channel, tag, payload);
-        }
         // Capture the causal span here, at the logical send: retransmits
         // (which run on the retry thread, with no task context) reuse it so
         // the eventual delivery still credits the originating task.
         let span = hiper_trace::current_task();
-        let outs = {
+        let (outs, wake) = {
             let mut st = self.state.lock();
             let my_epoch = st.my_epoch;
             let co = st.coalesce;
@@ -809,10 +802,10 @@ impl ReliableTransport {
                 peer.head_attempts = 1;
                 peer.head_deadline = Some(Instant::now() + self.cfg.timeout);
             }
-            if peer.quiesced {
+            let outs = if peer.quiesced {
                 // Queue silently; the release retransmits from the head.
                 Vec::new()
-            } else if co.enabled && busy && payload.len() <= co.max_payload {
+            } else if busy && payload.len() <= co.max_payload {
                 peer.staged.push(seq);
                 peer.staged_bytes += SUB_OVERHEAD + payload.len();
                 if peer.staged.len() >= co.flush_frames || peer.staged_bytes >= co.flush_bytes {
@@ -837,11 +830,11 @@ impl ReliableTransport {
                     payload,
                     span,
                 }]
-            }
+            };
+            (outs, st.wake_needed(dst))
         };
         self.ship(outs);
-        self.ensure_retry_thread();
-        self.cond.notify_all();
+        self.wake(wake);
     }
 
     /// Builds the wire frames for a peer's staged queue (one JUMBO per
@@ -919,6 +912,11 @@ impl ReliableTransport {
         outs
     }
 
+    /// Sends one header-only control frame.
+    fn send_control(&self, dst: Rank, channel: Channel, header: Bytes) {
+        self.ship(vec![Out::control(dst, channel, header)]);
+    }
+
     /// Sends prepared frames (outside the state lock).
     fn ship(&self, outs: Vec<Out>) {
         for o in outs {
@@ -927,18 +925,15 @@ impl ReliableTransport {
         }
     }
 
-    /// Registers the inner handler for `channel`. When reliable delivery is
-    /// armed the handler sees exactly the sender's payloads, exactly once,
-    /// in order; frames and acks stay invisible.
+    /// Registers the inner handler for `channel`. The handler sees exactly
+    /// the sender's payloads, exactly once, in order; frames and acks stay
+    /// invisible.
     ///
     /// Every endpoint that *sends* on a channel must also register a handler
     /// for it (a no-op one is fine): acks travel back on the same channel
     /// and are consumed here. The MPI and SHMEM modules register on every
     /// rank, so this holds by construction for them.
     pub fn register_handler(self: &Arc<Self>, channel: Channel, inner: Handler) {
-        if !self.enabled {
-            return self.transport.register_handler(channel, inner);
-        }
         self.state.lock().channels.push(channel);
         let me = Arc::clone(self);
         self.transport.register_handler(
@@ -1012,20 +1007,17 @@ impl ReliableTransport {
         let my_epoch = st.my_epoch;
         let peer = &mut st.peers[src];
         peer.ack_owed = peer.ack_owed.saturating_add(count);
-        if peer.ack_owed >= self.ack_threshold {
+        if peer.ack_owed >= ACK_THRESHOLD {
             let (data_epoch, cum) = peer.take_ack().expect("owed > 0");
             self.acks_flushed.fetch_add(1, Ordering::Relaxed);
-            vec![Out {
-                dst: src,
+            vec![Out::control(
+                src,
                 channel,
-                tag: 0,
-                header: ack_header(data_epoch, my_epoch, cum),
-                payload: Bytes::new(),
-                span: 0,
-            }]
+                ack_header(data_epoch, my_epoch, cum),
+            )]
         } else {
             if peer.ack_deadline.is_none() {
-                peer.ack_deadline = Some(Instant::now() + self.ack_delay);
+                peer.ack_deadline = Some(Instant::now() + ACK_DELAY);
             }
             Vec::new()
         }
@@ -1143,146 +1135,111 @@ impl ReliableTransport {
         let kind = hdr[0];
         let epoch_field = rd_u32(&hdr, 1);
         let src = msg.src;
-        match kind {
+        // DATA and JUMBO share one receive path: a lone DATA frame is a
+        // carrier of one sub-frame. JUMBO sub-frames are unpacked (as
+        // zero-copy slices of the carrier payload) *before* the hold-back.
+        let (subs, piggy) = match kind {
             FRAME_DATA if hdr.len() >= 14 => {
-                let seq = rd_u64(&hdr, 5);
-                let piggy =
-                    (hdr[13] == 1 && hdr.len() >= 26).then(|| (rd_u32(&hdr, 14), rd_u64(&hdr, 18)));
-                let (deliverable, outs, burst, burst_epoch) = {
-                    let mut st = self.state.lock();
-                    if !Self::observe_epoch(&mut st, src, epoch_field, self.module) {
-                        if crate::supervise::debug_enabled() {
-                            eprintln!(
-                                "[rel r{}] drop stale DATA src={} epoch={} seq={}",
-                                self.transport.rank(),
-                                src,
-                                epoch_field,
-                                seq
-                            );
-                        }
-                        return;
-                    }
-                    let stripped = Message {
-                        header: Bytes::new(),
-                        ..msg
-                    };
-                    let deliverable = st.peers[src].admit(seq, stripped);
-                    let mut outs = self.note_ack_owed(&mut st, src, channel, 1);
-                    // The piggybacked ack is applied *after* the DATA
-                    // half, mirroring the order the two halves would have
-                    // arrived in as separate frames.
-                    let burst = match piggy {
-                        Some((de, cum)) => {
-                            let (burst, more) = self.apply_ack(&mut st, src, de, epoch_field, cum);
-                            outs.extend(more);
-                            burst
-                        }
-                        None => Vec::new(),
-                    };
-                    (deliverable, outs, burst, st.my_epoch)
-                };
-                // Deliver outside the lock: handlers may re-enter send().
-                deliver(inner, deliverable);
-                self.ship(outs);
-                self.burst(src, burst_epoch, burst);
-                // The armed ack-flush deadline needs the retry/flusher
-                // thread — a pure receiver has not spawned one yet — and
-                // an applied piggyback ack must wake `flush()` waiters.
-                self.ensure_retry_thread();
-                self.cond.notify_all();
+                let sub = (rd_u64(&hdr, 5), msg.tag, msg.span, msg.payload.clone());
+                let piggy = hdr[13] == 1 && hdr.len() >= 26;
+                (
+                    vec![sub],
+                    piggy.then(|| (rd_u32(&hdr, 14), rd_u64(&hdr, 18))),
+                )
             }
             FRAME_JUMBO if hdr.len() >= 8 => {
                 let count = u16::from_le_bytes([hdr[5], hdr[6]]) as usize;
-                let piggy =
-                    (hdr[7] == 1 && hdr.len() >= 20).then(|| (rd_u32(&hdr, 8), rd_u64(&hdr, 12)));
-                // Unpack sub-frames (zero-copy slices of the carrier
-                // payload) *before* the hold-back, so each runs the exact
-                // lone-DATA receive path.
-                let body = msg.payload.clone();
-                let mut subs = Vec::with_capacity(count);
-                let mut off = 0usize;
-                for _ in 0..count {
-                    if off + SUB_OVERHEAD > body.len() {
-                        break;
-                    }
-                    let seq = rd_u64(&body, off);
-                    let tag = rd_u64(&body, off + 8);
-                    let span = rd_u64(&body, off + 16);
-                    let len = rd_u32(&body, off + 24) as usize;
-                    off += SUB_OVERHEAD;
-                    if off + len > body.len() {
-                        break;
-                    }
-                    subs.push((seq, tag, span, body.slice(off..off + len)));
-                    off += len;
-                }
-                let due_ns = msg.due_ns;
-                let (deliverable, outs, burst, burst_epoch) = {
-                    let mut st = self.state.lock();
-                    if !Self::observe_epoch(&mut st, src, epoch_field, self.module) {
-                        return;
-                    }
-                    let mut deliverable = Vec::new();
-                    for (seq, tag, span, payload) in &subs {
-                        let sub = Message {
-                            src,
-                            dst: msg.dst,
-                            channel,
-                            tag: *tag,
-                            header: Bytes::new(),
-                            payload: payload.clone(),
-                            span: *span,
-                            due_ns,
-                        };
-                        deliverable.extend(st.peers[src].admit(*seq, sub));
-                    }
-                    let mut outs = self.note_ack_owed(&mut st, src, channel, subs.len() as u32);
-                    let burst = match piggy {
-                        Some((de, cum)) => {
-                            let (burst, more) = self.apply_ack(&mut st, src, de, epoch_field, cum);
-                            outs.extend(more);
-                            burst
-                        }
-                        None => Vec::new(),
-                    };
-                    (deliverable, outs, burst, st.my_epoch)
-                };
-                // One jumbo carrier = one engine-level MsgSend/MsgDeliver
-                // pair; re-emit a per-logical pair for every sub-frame it
-                // carried, stamped at the carrier's modeled delivery time,
-                // so trace_check's pairing and causal edges see N logical
-                // messages, not one opaque blob.
-                if hiper_trace::enabled() {
-                    let link = crate::engine::link_word(src, msg.dst);
-                    for (_, _, span, _) in &subs {
-                        let id = crate::engine::next_msg_id();
-                        hiper_trace::emit_at(due_ns, EventKind::MsgSend, *span, link, id);
-                        hiper_trace::emit_at(due_ns, EventKind::MsgDeliver, *span, link, id);
-                    }
-                }
-                deliver(inner, deliverable);
-                self.ship(outs);
-                self.burst(src, burst_epoch, burst);
-                self.ensure_retry_thread();
-                self.cond.notify_all();
+                let piggy = hdr[7] == 1 && hdr.len() >= 20;
+                let subs = unpack_jumbo(&msg.payload, count);
+                (subs, piggy.then(|| (rd_u32(&hdr, 8), rd_u64(&hdr, 12))))
             }
+            _ => return self.on_control(channel, src, epoch_field, &hdr),
+        };
+        let due_ns = msg.due_ns;
+        let (deliverable, outs, burst, burst_epoch, wake) = {
+            let mut st = self.state.lock();
+            if !Self::observe_epoch(&mut st, src, epoch_field, self.module) {
+                if crate::supervise::debug_enabled() {
+                    eprintln!(
+                        "[rel r{}] drop stale frame kind={} src={} epoch={}",
+                        self.transport.rank(),
+                        kind,
+                        src,
+                        epoch_field
+                    );
+                }
+                return;
+            }
+            let mut deliverable = Vec::new();
+            for (seq, tag, span, payload) in &subs {
+                let sub = Message {
+                    src,
+                    dst: msg.dst,
+                    channel,
+                    tag: *tag,
+                    header: Bytes::new(),
+                    payload: payload.clone(),
+                    span: *span,
+                    due_ns,
+                };
+                deliverable.extend(st.peers[src].admit(*seq, sub));
+            }
+            let mut outs = self.note_ack_owed(&mut st, src, channel, subs.len() as u32);
+            // The piggybacked ack is applied *after* the data, mirroring
+            // the order the two would have arrived in as separate frames.
+            let burst = match piggy {
+                Some((de, cum)) => {
+                    let (burst, more) = self.apply_ack(&mut st, src, de, epoch_field, cum);
+                    outs.extend(more);
+                    burst
+                }
+                None => Vec::new(),
+            };
+            (deliverable, outs, burst, st.my_epoch, st.wake_needed(src))
+        };
+        // One jumbo carrier = one engine-level MsgSend/MsgDeliver pair;
+        // re-emit a per-logical pair for every sub-frame it carried,
+        // stamped at the carrier's modeled delivery time, so trace_check's
+        // pairing and causal edges see N logical messages, not one blob.
+        if kind == FRAME_JUMBO && hiper_trace::enabled() {
+            let link = crate::engine::link_word(src, msg.dst);
+            for (_, _, span, _) in &subs {
+                let id = crate::engine::next_msg_id();
+                hiper_trace::emit_at(due_ns, EventKind::MsgSend, *span, link, id);
+                hiper_trace::emit_at(due_ns, EventKind::MsgDeliver, *span, link, id);
+            }
+        }
+        // Deliver outside the lock: handlers may re-enter send().
+        deliver(inner, deliverable);
+        self.ship(outs);
+        self.burst(src, burst_epoch, burst);
+        if piggy.is_some() {
+            self.acked.notify_all();
+        }
+        self.wake(wake);
+    }
+
+    /// Decodes a control frame: ACK, RESTART, RESTART_ACK or CKPT.
+    fn on_control(self: &Arc<Self>, channel: Channel, src: Rank, epoch_field: u32, hdr: &[u8]) {
+        match hdr[0] {
             FRAME_ACK if hdr.len() >= 17 => {
                 // data_epoch: whose send space the cum refers to (ours, if
                 // current); acker_epoch: the acker's incarnation.
-                let acker_epoch = rd_u32(&hdr, 5);
-                let cum = rd_u64(&hdr, 9);
-                let (burst, outs, burst_epoch) = {
+                let acker_epoch = rd_u32(hdr, 5);
+                let cum = rd_u64(hdr, 9);
+                let (burst, outs, burst_epoch, wake) = {
                     let mut st = self.state.lock();
                     let (burst, outs) = self.apply_ack(&mut st, src, epoch_field, acker_epoch, cum);
-                    (burst, outs, st.my_epoch)
+                    (burst, outs, st.my_epoch, st.wake_needed(src))
                 };
                 self.ship(outs);
                 self.burst(src, burst_epoch, burst);
-                self.cond.notify_all();
+                self.acked.notify_all();
+                self.wake(wake);
             }
             FRAME_RESTART if hdr.len() >= 13 => {
-                let cum = rd_u64(&hdr, 5);
-                let (burst, burst_epoch) = {
+                let cum = rd_u64(hdr, 5);
+                let (burst, burst_epoch, wake) = {
                     let mut st = self.state.lock();
                     if !Self::observe_epoch(&mut st, src, epoch_field, self.module) {
                         return;
@@ -1291,17 +1248,12 @@ impl ReliableTransport {
                     let peer = &mut st.peers[src];
                     // Idempotent on duplicates: re-pruning below cum and
                     // re-sending the burst/ack is harmless.
-                    (Self::resync_send_side(peer, cum, &cfg), st.my_epoch)
+                    let burst = Self::resync_send_side(peer, cum, &cfg);
+                    (burst, st.my_epoch, st.wake_needed(src))
                 };
-                self.transport.send_framed(
-                    src,
-                    channel,
-                    0,
-                    restart_ack_header(epoch_field),
-                    Bytes::new(),
-                    0,
-                );
+                self.send_control(src, channel, restart_ack_header(epoch_field));
                 self.burst(src, burst_epoch, burst);
+                self.wake(wake);
             }
             FRAME_RESTART_ACK => {
                 let mut st = self.state.lock();
@@ -1312,7 +1264,7 @@ impl ReliableTransport {
                 }
             }
             FRAME_CKPT if hdr.len() >= 13 => {
-                let watermark = rd_u64(&hdr, 5);
+                let watermark = rd_u64(hdr, 5);
                 let mut st = self.state.lock();
                 if !Self::observe_epoch(&mut st, src, epoch_field, self.module) {
                     return;
@@ -1329,9 +1281,6 @@ impl ReliableTransport {
     /// Retransmits a resync burst in sequence order (outside the lock),
     /// rebuilding each DATA header under `epoch` — zero payload copies.
     fn burst(self: &Arc<Self>, dst: Rank, epoch: u32, frames: Vec<(u64, StoredFrame)>) {
-        if frames.is_empty() {
-            return;
-        }
         for (seq, (channel, tag, payload, span)) in frames {
             self.retries.fetch_add(1, Ordering::Relaxed);
             self.payload_copies_avoided.fetch_add(1, Ordering::Relaxed);
@@ -1344,25 +1293,26 @@ impl ReliableTransport {
                 span,
             );
         }
-        self.cond.notify_all();
     }
 
-    fn ensure_retry_thread(self: &Arc<Self>) {
-        let mut st = self.state.lock();
-        if st.retry_running {
-            return;
+    /// Notifies the retry thread when [`State::wake_needed`] said so.
+    fn wake(&self, wake: bool) {
+        if wake {
+            self.cond.notify_all();
         }
-        st.retry_running = true;
-        drop(st);
+    }
+
+    fn spawn_retry_thread(self: &Arc<Self>) {
         let weak = Arc::downgrade(self);
-        // Engine stop must wake the retry/flush thread immediately: its
-        // condvar wait can be a full backoff period long, and a stopped
-        // wire will never ack it awake.
+        // Engine stop must wake the retry thread and `flush()` waiters
+        // immediately: the thread's wait can be a full backoff period
+        // long, and a stopped wire will never ack either awake.
         {
             let weak = weak.clone();
             self.transport.engine().on_stop(move || {
                 if let Some(me) = weak.upgrade() {
                     me.cond.notify_all();
+                    me.acked.notify_all();
                 }
             });
         }
@@ -1382,6 +1332,30 @@ fn deliver(inner: &Handler, msgs: Vec<Message>) {
         inner(m);
         hiper_trace::set_current_task(prev);
     }
+}
+
+/// Splits a JUMBO payload into its `count` sub-frames
+/// `(seq, tag, span, payload)`, each payload a zero-copy slice of `body`.
+/// A truncated tail is dropped (the sender retransmits it).
+fn unpack_jumbo(body: &Bytes, count: usize) -> Vec<(u64, u64, u64, Bytes)> {
+    let mut subs = Vec::with_capacity(count);
+    let mut off = 0usize;
+    for _ in 0..count {
+        if off + SUB_OVERHEAD > body.len() {
+            break;
+        }
+        let len = rd_u32(body, off + 24) as usize;
+        if off + SUB_OVERHEAD + len > body.len() {
+            break;
+        }
+        let seq = rd_u64(body, off);
+        let tag = rd_u64(body, off + 8);
+        let span = rd_u64(body, off + 16);
+        off += SUB_OVERHEAD;
+        subs.push((seq, tag, span, body.slice(off..off + len)));
+        off += len;
+    }
+    subs
 }
 
 fn rd_u32(buf: &[u8], at: usize) -> u32 {
@@ -1457,9 +1431,7 @@ fn ckpt_header(epoch: u32, watermark: u64) -> Bytes {
 /// retransmitting head-of-line frames whose deadline passed and re-sending
 /// unacknowledged `RESTART` announcements, it drains staged coalescing
 /// queues and flushes owed standalone acks when their (µs-scale) deadlines
-/// arrive. Its condvar is notified on ack arrival, new staging, quiesce
-/// release, and engine stop, so it wakes exactly when there is work.
-/// Exits when the owning [`ReliableTransport`] is dropped or the cluster's
+/// arrive. Its timers are lazy (module doc). Exits when the owning [`ReliableTransport`] is dropped or the cluster's
 /// delivery engine stops (a stopped wire can never ack, so retrying
 /// against it only burns CPU and spams `Unreachable` errors).
 fn retry_loop(weak: Weak<ReliableTransport>) {
@@ -1472,10 +1444,7 @@ fn retry_loop(weak: Weak<ReliableTransport>) {
             return;
         }
         let now = Instant::now();
-        #[allow(clippy::type_complexity)]
-        let mut resend: Vec<(Rank, Channel, u64, Bytes, Bytes, u64, u32, u64)> = Vec::new();
-        let mut control: Vec<(Rank, Channel, Bytes)> = Vec::new();
-        let mut flushed: Vec<Out> = Vec::new();
+        let mut outs: Vec<Out> = Vec::new();
         let mut wait = Duration::from_millis(20);
         {
             let mut st = me.state.lock();
@@ -1486,6 +1455,14 @@ fn retry_loop(weak: Weak<ReliableTransport>) {
             for (dst, peer) in peers.iter_mut().enumerate() {
                 if peer.quiesced {
                     continue;
+                }
+                // Staged-coalescing flush deadline.
+                if let Some(deadline) = peer.stage_deadline {
+                    if deadline <= now {
+                        outs.extend(me.drain_staged(peer, my_epoch, dst));
+                    } else {
+                        wait = wait.min(deadline - now);
+                    }
                 }
                 // Unacked RESTART announcements get their own resend loop:
                 // the epoch handshake must survive drop injection.
@@ -1501,23 +1478,12 @@ fn retry_loop(weak: Weak<ReliableTransport>) {
                                 peer.restart_attempts += 1;
                                 peer.restart_deadline = Some(now + me.cfg.timeout);
                                 wait = wait.min(me.cfg.timeout);
-                                control.push((
-                                    dst,
-                                    channel,
-                                    restart_header(my_epoch, peer.restart_cum),
-                                ));
+                                let header = restart_header(my_epoch, peer.restart_cum);
+                                outs.push(Out::control(dst, channel, header));
                             }
                         } else {
                             wait = wait.min(deadline - now);
                         }
-                    }
-                }
-                // Staged-coalescing flush deadline.
-                if let Some(deadline) = peer.stage_deadline {
-                    if deadline <= now {
-                        flushed.extend(me.drain_staged(peer, my_epoch, dst));
-                    } else {
-                        wait = wait.min(deadline - now);
                     }
                 }
                 // Owed-ack flush deadline.
@@ -1527,7 +1493,8 @@ fn retry_loop(weak: Weak<ReliableTransport>) {
                             (peer.take_ack(), control_channel)
                         {
                             me.acks_flushed.fetch_add(1, Ordering::Relaxed);
-                            control.push((dst, channel, ack_header(data_epoch, my_epoch, cum)));
+                            let header = ack_header(data_epoch, my_epoch, cum);
+                            outs.push(Out::control(dst, channel, header));
                         }
                     } else {
                         wait = wait.min(deadline - now);
@@ -1570,18 +1537,27 @@ fn retry_loop(weak: Weak<ReliableTransport>) {
                 );
                 peer.head_deadline = Some(now + peer.head_timeout);
                 wait = wait.min(peer.head_timeout);
-                resend.push((
+                me.retries.fetch_add(1, Ordering::Relaxed);
+                me.payload_copies_avoided.fetch_add(1, Ordering::Relaxed);
+                if hiper_metrics::enabled() {
+                    hiper_metrics::counter("hiper_reliable_retransmits_total").inc();
+                }
+                if hiper_trace::enabled() {
+                    let link = ((me.transport.rank() as u64) << 32) | dst as u64;
+                    let attempt = peer.head_attempts as u64;
+                    hiper_trace::emit(EventKind::RelRetry, link, seq, attempt);
+                }
+                outs.push(Out {
                     dst,
-                    *channel,
-                    *tag,
-                    data_header(my_epoch, seq, None),
-                    payload.clone(),
-                    seq,
-                    peer.head_attempts,
-                    *span,
-                ));
+                    channel: *channel,
+                    tag: *tag,
+                    header: data_header(my_epoch, seq, None),
+                    payload: payload.clone(),
+                    span: *span,
+                });
             }
             st.peers = peers;
+            st.sleep_until = now + wait;
             if let Some((dst, attempts)) = newly_dead {
                 if crate::supervise::debug_enabled() {
                     let p = &st.peers[dst];
@@ -1604,30 +1580,14 @@ fn retry_loop(weak: Weak<ReliableTransport>) {
                 }
             }
         }
-        me.ship(flushed);
-        for (dst, channel, header) in control {
-            me.transport
-                .send_framed(dst, channel, 0, header, Bytes::new(), 0);
-        }
-        for (dst, channel, tag, header, payload, seq, attempt, span) in resend {
-            me.retries.fetch_add(1, Ordering::Relaxed);
-            me.payload_copies_avoided.fetch_add(1, Ordering::Relaxed);
-            if hiper_metrics::enabled() {
-                hiper_metrics::counter("hiper_reliable_retransmits_total").inc();
-            }
-            if hiper_trace::enabled() {
-                hiper_trace::emit(
-                    EventKind::RelRetry,
-                    ((me.transport.rank() as u64) << 32) | dst as u64,
-                    seq,
-                    attempt as u64,
-                );
-            }
-            me.transport
-                .send_framed(dst, channel, tag, header, payload, span);
-        }
+        me.ship(outs);
+        // Senders may have lowered `sleep_until` while the frames above
+        // were shipped; their notify found no waiter, so re-read it here.
         let mut st = me.state.lock();
-        me.cond.wait_for(&mut st, wait);
+        let left = st.sleep_until.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            me.cond.wait_for(&mut st, left);
+        }
         drop(st);
         drop(me);
     }
@@ -1638,7 +1598,6 @@ impl std::fmt::Debug for ReliableTransport {
         f.debug_struct("ReliableTransport")
             .field("module", &self.module)
             .field("rank", &self.transport.rank())
-            .field("enabled", &self.enabled)
             .field("epoch", &self.epoch())
             .field("retries", &self.retry_count())
             .finish()

