@@ -27,11 +27,10 @@ use hiper_bench::uts::{self, UtsParams};
 use hiper_checkpoint::CheckpointModule;
 use hiper_mpi::{MpiModule, ReduceOp};
 use hiper_netsim::{
-    FaultPlan, KillSpec, NetConfig, NetStatsSnapshot, ReliableTransport, RetryConfig, SpmdBuilder,
-    SupervisedCtx, SupervisorHarness,
+    FaultPlan, KillSpec, NetConfig, NetStatsSnapshot, RecoveryError, ReliableTransport,
+    RetryConfig, SpmdBuilder, SupervisedCtx, SupervisorHarness,
 };
-use hiper_runtime::supervisor::{RecoveryError, RetryPolicy};
-use hiper_runtime::{api, Runtime, RuntimeBuilder, SchedulerModule};
+use hiper_runtime::{api, RetryPolicy, Runtime, RuntimeBuilder, SchedulerModule, TaskError};
 use hiper_shmem::{ShmemModule, ShmemWorld};
 
 /// Fan-out medians recorded in BENCH_sched_hotpath.json (release, this
@@ -368,7 +367,7 @@ fn run_degradation() -> bool {
     use std::sync::atomic::AtomicBool;
     let dir = std::env::temp_dir().join("hiper_chaos_degrade");
     let _ = std::fs::remove_dir_all(&dir);
-    let harness = SupervisorHarness::new(
+    let h_main = SupervisorHarness::new(
         2,
         Some(KillSpec {
             rank: 0,
@@ -376,7 +375,6 @@ fn run_degradation() -> bool {
         }),
         3,
     );
-    let h_main = Arc::clone(&harness);
     let dead = Arc::new(AtomicBool::new(false));
     let outcomes = SpmdBuilder::new(2)
         .platform(|_| hiper_platform::autogen::figure2(1))
@@ -425,7 +423,6 @@ fn run_degradation() -> bool {
                 matches!(out, Err(RecoveryError::NoCheckpoint))
             },
         );
-    harness.shutdown();
     outcomes.iter().all(|&ok| ok)
 }
 
@@ -433,47 +430,12 @@ fn run_degradation() -> bool {
 // Overhead gate: fault-free scheduler fan-out vs the recorded baseline
 // ---------------------------------------------------------------------
 
-fn measure_fanout_ms() -> f64 {
-    let rt = Runtime::new(hiper_platform::autogen::smp(4));
-    let reps = 30;
-    let mut samples = Vec::with_capacity(reps);
-    for rep in 0..reps + 5 {
-        let acc = Arc::new(AtomicU64::new(0));
-        let a = Arc::clone(&acc);
-        let rt2 = rt.clone();
-        let t0 = Instant::now();
-        rt2.block_on(move || {
-            api::finish(|| {
-                for _ in 0..8 {
-                    let a = Arc::clone(&a);
-                    api::async_(move || {
-                        for _ in 0..1000 {
-                            let a = Arc::clone(&a);
-                            api::async_(move || {
-                                a.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                }
-            })
-            .expect("no task panicked");
-        });
-        let dt = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(acc.load(Ordering::Relaxed), 8000);
-        if rep >= 5 {
-            samples.push(dt);
-        }
-    }
-    rt.shutdown();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
+/// A scope wrapping one fan-out rep: plain `finish` or `finish_supervised`.
+type FanoutScope = fn(&mut dyn FnMut()) -> Result<(), TaskError>;
 
-/// Same fan-out, wrapped in `finish_supervised` with a retry policy: shows
-/// supervision-but-no-faults stays within the hot-path gate.
-fn measure_fanout_supervised_ms() -> f64 {
+/// Median wall time of a fault-free 8x1000 fan-out run inside `scope`.
+fn measure_fanout_ms(scope: FanoutScope) -> f64 {
     let rt = Runtime::new(hiper_platform::autogen::smp(4));
-    let policy = RetryPolicy::transient(3);
     let reps = 30;
     let mut samples = Vec::with_capacity(reps);
     for rep in 0..reps + 5 {
@@ -482,7 +444,7 @@ fn measure_fanout_supervised_ms() -> f64 {
         let rt2 = rt.clone();
         let t0 = Instant::now();
         rt2.block_on(move || {
-            api::finish_supervised(&policy, |_attempt| {
+            scope(&mut || {
                 for _ in 0..8 {
                     let a = Arc::clone(&a);
                     api::async_(move || {
@@ -641,10 +603,10 @@ fn main() {
     // An over-gate absolute result re-measures up to twice, spaced out so
     // a single co-tenant burst cannot straddle every attempt; the best
     // median wins.
-    let gated = |measure: &dyn Fn() -> f64| {
+    let gated = |scope: FanoutScope| {
         let mut best = f64::INFINITY;
         for attempt in 0..3 {
-            best = best.min(measure());
+            best = best.min(measure_fanout_ms(scope));
             if best <= HOTPATH_FANOUT_BASELINE_MS * 1.30 {
                 break;
             }
@@ -655,7 +617,7 @@ fn main() {
         best
     };
 
-    let fanout_ms = gated(&measure_fanout_ms);
+    let fanout_ms = gated(|body| api::finish(body));
     let overhead_pct = (fanout_ms / HOTPATH_FANOUT_BASELINE_MS - 1.0) * 100.0;
     let overhead_ok = fanout_ms <= HOTPATH_FANOUT_BASELINE_MS * 1.50;
     all_pass &= overhead_ok;
@@ -667,7 +629,9 @@ fn main() {
         if overhead_ok { "OK" } else { "REGRESSION" }
     );
 
-    let fanout_sup_ms = gated(&measure_fanout_supervised_ms);
+    // Supervision but no faults: the same fan-out under a retry policy.
+    let fanout_sup_ms =
+        gated(|body| api::finish_supervised(&RetryPolicy::transient(3), |_attempt| body()));
     let sup_pct = (fanout_sup_ms / fanout_ms - 1.0) * 100.0;
     let sup_ok = fanout_sup_ms <= fanout_ms * 1.30;
     all_pass &= sup_ok;

@@ -148,12 +148,8 @@ pub fn compare(
 
 /// Scheduler fanout: 8 producers × 1000 tiny consumers on a 4-worker SMP
 /// runtime — the spawn/wake/steal hot path (same shape as the
-/// `task_overhead` bench and the trace/chaos overhead gates).
-pub fn run_fanout(reps: usize) -> MetricSummary {
-    summarize_ms(fanout_samples(reps))
-}
-
-/// Raw per-rep samples (ms) for the fanout workload.
+/// `task_overhead` bench and the trace/chaos overhead gates). Raw per-rep
+/// samples (ms).
 pub fn fanout_samples(reps: usize) -> Vec<f64> {
     let rt = Runtime::new(autogen::smp(4));
     let one = |rt: &Runtime| {
@@ -192,12 +188,8 @@ pub fn fanout_samples(reps: usize) -> Vec<f64> {
 }
 
 /// MPI ping-pong: 50 empty-message round trips between 2 netsim ranks —
-/// module taskification + simulated-interconnect latency path.
-pub fn run_pingpong(reps: usize) -> MetricSummary {
-    summarize_ms(pingpong_samples(reps))
-}
-
-/// Raw per-rep samples (ms) for the ping-pong workload.
+/// module taskification + simulated-interconnect latency path. Raw per-rep
+/// samples (ms).
 pub fn pingpong_samples(reps: usize) -> Vec<f64> {
     const ROUNDS: usize = 50;
     let per_rank = SpmdBuilder::new(2)
@@ -235,12 +227,8 @@ pub fn pingpong_samples(reps: usize) -> Vec<f64> {
 }
 
 /// ISx bucket sort, 2 SHMEM ranks × 2 workers, 4096 keys/rank — the
-/// all-to-all + local-sort composite the paper's Fig. 5 scales up.
-pub fn run_isx(reps: usize) -> MetricSummary {
-    summarize_ms(isx_samples(reps))
-}
-
-/// Raw per-rep samples (ms) for the ISx workload.
+/// all-to-all + local-sort composite the paper's Fig. 5 scales up. Raw
+/// per-rep samples (ms).
 pub fn isx_samples(reps: usize) -> Vec<f64> {
     let params = IsxParams {
         keys_per_rank: 4096,
@@ -281,7 +269,7 @@ pub fn isx_samples(reps: usize) -> Vec<f64> {
 }
 
 /// Spawn churn: the per-task *allocation* path, as opposed to the search
-/// path `run_fanout` stresses. Three phases on a 4-worker SMP runtime:
+/// path `fanout_samples` stresses. Three phases on a 4-worker SMP runtime:
 ///
 /// 1. a future-based recursive fib(21) with a sequential cutoff at 10 —
 ///    ~376 `spawn_future` + help-first `get` round trips, i.e. a
@@ -350,12 +338,7 @@ pub fn spawn_churn_samples(reps: usize) -> Vec<f64> {
 /// the netsim hot path the sharded delivery engine serves: concurrent send
 /// admission from four threads, timing-wheel insertion/pop, and handler
 /// dispatch. This is the gate metric for the small-message throughput the
-/// coalescing and zero-copy work targets.
-pub fn run_msg_churn(reps: usize) -> MetricSummary {
-    summarize_ms(msg_churn_samples(reps))
-}
-
-/// Raw per-rep samples (ms) for the message-churn workload.
+/// coalescing and zero-copy work targets. Raw per-rep samples (ms).
 pub fn msg_churn_samples(reps: usize) -> Vec<f64> {
     const RANKS: usize = 4;
     const MSGS: u64 = 250; // per (src, dst) pair per rep
@@ -429,14 +412,6 @@ pub fn run_all_samples(reps: usize) -> BTreeMap<String, Vec<f64>> {
     GATE_BENCHES
         .iter()
         .map(|&b| (b.to_string(), bench_samples(b, reps).unwrap()))
-        .collect()
-}
-
-/// Runs the full gate suite, returning named summaries.
-pub fn run_all(reps: usize) -> BTreeMap<String, MetricSummary> {
-    run_all_samples(reps)
-        .into_iter()
-        .map(|(name, samples)| (name, summarize_ms(samples)))
         .collect()
 }
 

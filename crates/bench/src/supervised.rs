@@ -188,16 +188,10 @@ fn run_supervised_rounds(
         );
 
     let elapsed = t0.elapsed();
-    // Break the harness ↔ engine cycle so this run's reliable endpoints
-    // (and their retry threads) die with it instead of piling up across
-    // the grid.
-    harness.shutdown();
 
     SupervisedOutcome {
         digest,
-        recoveries: victim
-            .map(|v| harness.supervisor().attempts(v as u32))
-            .unwrap_or(0),
+        recoveries: victim.map(|v| harness.attempts(v)).unwrap_or(0),
         ranks_recovered: recovered.load(Ordering::Relaxed),
         elapsed,
     }

@@ -1,7 +1,7 @@
 //! Shared harness utilities: repetition with confidence intervals and
 //! paper-style table printing.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Summary statistics over repeated timings.
 #[derive(Debug, Clone, Copy)]
@@ -12,13 +12,6 @@ pub struct Timing {
     pub ci95: f64,
     /// Number of repetitions.
     pub reps: usize,
-}
-
-impl Timing {
-    /// Mean as a `Duration`.
-    pub fn mean_duration(&self) -> Duration {
-        Duration::from_secs_f64(self.mean)
-    }
 }
 
 impl std::fmt::Display for Timing {
@@ -173,6 +166,7 @@ pub fn print_reliable_stats(tag: &str, transport: &hiper_netsim::ReliableTranspo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn summarize_single_sample() {

@@ -4,10 +4,11 @@
 //!    reloaded through `traceload` must diff against its live counterpart
 //!    to exactly zero — timestamps, module spans, spawn edges, and rank
 //!    pids (10+r) all survive the roundtrip, so the aligned DAGs match.
-//! 2. With the netsim `slowmo` knob doubling the MPI channel's modeled
-//!    latency, the differ must rank the `mpi` module as the top module
-//!    contributor and report a positive wall/path delta — the acceptance
-//!    self-test for automated regression attribution.
+//! 2. With the modeled link latency doubled (`NetConfig::latency`; every
+//!    frame of the 2-rank ping-pong, reliable-layer acks included, rides
+//!    the MPI channel), the differ must rank the `mpi` module as the top
+//!    module contributor and report a positive wall/path delta — the
+//!    acceptance self-test for automated regression attribution.
 //!
 //! Trace and metrics state are process-global, so everything runs inside
 //! one `#[test]` in sequence.
@@ -27,46 +28,43 @@ use hiper_trace::TraceData;
 /// startup/teardown jitter in the wall-clock delta.
 const ROUNDS: usize = 400;
 
-/// One traced 2-rank ping-pong run, returning the drained trace.
-fn traced_pingpong() -> TraceData {
+/// One traced 2-rank ping-pong run over `net`, returning the drained trace.
+fn traced_pingpong(net: NetConfig) -> TraceData {
     let _ = hiper_trace::drain(); // discard anything before the window
     hiper_trace::set_enabled(true);
-    let done = SpmdBuilder::new(2)
-        .net(NetConfig::default())
-        .workers_per_rank(2)
-        .run(
-            |_r, t| {
-                let mpi = MpiModule::new(t);
-                (vec![Arc::clone(&mpi) as Arc<dyn SchedulerModule>], mpi)
-            },
-            move |env, mpi| {
-                mpi.barrier();
-                for _ in 0..ROUNDS {
-                    if env.rank == 0 {
-                        mpi.send::<u8>(1, 1, &[]);
-                        let _ = mpi.recv::<u8>(Some(1), Some(2));
-                    } else {
-                        let _ = mpi.recv::<u8>(Some(0), Some(1));
-                        mpi.send::<u8>(0, 2, &[]);
-                    }
+    let done = SpmdBuilder::new(2).net(net).workers_per_rank(2).run(
+        |_r, t| {
+            let mpi = MpiModule::new(t);
+            (vec![Arc::clone(&mpi) as Arc<dyn SchedulerModule>], mpi)
+        },
+        move |env, mpi| {
+            mpi.barrier();
+            for _ in 0..ROUNDS {
+                if env.rank == 0 {
+                    mpi.send::<u8>(1, 1, &[]);
+                    let _ = mpi.recv::<u8>(Some(1), Some(2));
+                } else {
+                    let _ = mpi.recv::<u8>(Some(0), Some(1));
+                    mpi.send::<u8>(0, 2, &[]);
                 }
-                true
-            },
-        );
+            }
+            true
+        },
+    );
     hiper_trace::set_enabled(false);
     assert_eq!(done, vec![true, true]);
     hiper_trace::drain()
 }
 
 #[test]
-fn chrome_roundtrip_self_diffs_to_zero_and_slowmo_is_attributed() {
+fn chrome_roundtrip_self_diffs_to_zero_and_slowdown_is_attributed() {
     // Give the rings room: a traced ping-pong rep is tens of thousands of
     // events per worker. Parsed at first ring registration, so this must
     // run before any runtime exists in this process.
     std::env::set_var("HIPER_TRACE_BUF", "262144");
 
     // --- Phase 1: Chrome-JSON roundtrip of a distributed trace. ---
-    let live = traced_pingpong();
+    let live = traced_pingpong(NetConfig::default());
     assert!(
         live.tracks.iter().any(|t| t.rank == Some(1)),
         "distributed run produces rank-tagged tracks"
@@ -104,10 +102,12 @@ fn chrome_roundtrip_self_diffs_to_zero_and_slowmo_is_attributed() {
     assert!(diff.modules.iter().all(|m| m.delta_total_ns == 0));
     assert!(diff.workers.iter().all(|w| w.delta_ns == 0));
 
-    // --- Phase 2: inject a deterministic 2x MPI-latency slowdown. ---
-    hiper_netsim::slowmo::set_channel_scale(hiper_netsim::Channel::MPI, 2.0);
-    let slowed = traced_pingpong();
-    hiper_netsim::slowmo::reset();
+    // --- Phase 2: inject a deterministic 2x link-latency slowdown. ---
+    let default = NetConfig::default();
+    let slowed = traced_pingpong(NetConfig {
+        latency: 2 * default.latency,
+        ..default
+    });
     let slow = DiffInput::from_trace("pingpong-slow", &slowed);
 
     let diff = TraceDiff::build(&base, &slow, DiffOptions::default());

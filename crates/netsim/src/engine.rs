@@ -40,58 +40,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::message::{Message, Rank};
 
-/// Deterministic per-channel delay scaling, for differential-profiling
-/// self-tests: doubling one channel's modeled latency must surface as a
-/// top-ranked attribution in `profile --diff`. Scales live in a global
-/// table (millionths, so 2_000_000 = 2x) and multiply the modeled delay
-/// before it reaches the timed wheel and the trace — the injected slowdown
-/// is exactly what the exported timeline shows.
-#[cfg(feature = "slowmo")]
-pub mod slowmo {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-
-    use crate::message::Channel;
-
-    const UNIT: u64 = 1_000_000;
-    const CHANNELS: usize = 4;
-
-    static SCALES: [AtomicU64; CHANNELS] = [
-        AtomicU64::new(UNIT),
-        AtomicU64::new(UNIT),
-        AtomicU64::new(UNIT),
-        AtomicU64::new(UNIT),
-    ];
-
-    /// Sets the delay multiplier for one channel (1.0 = unmodified).
-    /// Takes effect for messages sent after the call, process-wide.
-    pub fn set_channel_scale(channel: Channel, scale: f64) {
-        let fixed = (scale.max(0.0) * UNIT as f64) as u64;
-        if let Some(slot) = SCALES.get(channel.0 as usize) {
-            slot.store(fixed, Ordering::Relaxed);
-        }
-    }
-
-    /// Restores every channel to 1.0.
-    pub fn reset() {
-        for slot in &SCALES {
-            slot.store(UNIT, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn scale(channel: Channel, delay: Duration) -> Duration {
-        let fixed = SCALES
-            .get(channel.0 as usize)
-            .map_or(UNIT, |s| s.load(Ordering::Relaxed));
-        if fixed == UNIT {
-            return delay;
-        }
-        Duration::from_nanos(
-            ((delay.as_nanos() as u64) as u128 * fixed as u128 / UNIT as u128) as u64,
-        )
-    }
-}
-
 /// Packs a (src, dst) pair into one trace-event payload word.
 pub(crate) fn link_word(src: Rank, dst: Rank) -> u64 {
     ((src as u64) << 32) | dst as u64
@@ -237,22 +185,6 @@ impl std::fmt::Display for NetStatsSnapshot {
 
 /// Handler invoked (on the engine thread) when a message arrives at a rank.
 pub type Handler = Box<dyn Fn(Message) + Send + Sync>;
-
-/// A rank lifecycle transition driven through [`DeliveryEngine::set_rank_down`]
-/// (supervised kills and recoveries). Listeners registered with
-/// [`DeliveryEngine::on_rank_event`] — e.g. a runtime `Supervisor` — see
-/// every transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankEvent {
-    /// The rank went down at `at_ns` (trace-clock): all its traffic is
-    /// dropped until it is restored.
-    Down { rank: Rank, at_ns: u64 },
-    /// The rank came back at `at_ns`.
-    Restored { rank: Rank, at_ns: u64 },
-}
-
-/// Rank-event listener callback.
-pub type RankListener = Box<dyn Fn(RankEvent) + Send + Sync>;
 
 /// Callback run once when the engine stops. Reliable endpoints register
 /// one to wake their retry/flush threads immediately instead of waiting
@@ -487,7 +419,6 @@ pub struct DeliveryEngine {
     /// handler for the dead rank is still mid-delivery.
     delivering: AtomicU64,
     dbg_delivery: Mutex<Option<DeliveryMark>>,
-    rank_listeners: Mutex<Vec<RankListener>>,
     stop_hooks: Mutex<Vec<StopHook>>,
     pub stats: NetStats,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -540,7 +471,6 @@ impl DeliveryEngine {
             paused: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             delivering: AtomicU64::new(0),
             dbg_delivery: Mutex::new(None),
-            rank_listeners: Mutex::new(Vec::new()),
             stop_hooks: Mutex::new(Vec::new()),
             stats: NetStats::default(),
             thread: Mutex::new(None),
@@ -595,26 +525,12 @@ impl DeliveryEngine {
         self.cond.notify_all();
     }
 
-    /// Registers a listener for supervised rank lifecycle transitions.
-    pub fn on_rank_event(&self, f: impl Fn(RankEvent) + Send + Sync + 'static) {
-        self.rank_listeners.lock().push(Box::new(f));
-    }
-
     /// Registers a callback to run when [`stop`](DeliveryEngine::stop)
     /// fires. Reliable endpoints hang their retry-thread condvar wakeup
     /// here so a stopped cluster kills its retry/flush threads immediately
     /// rather than after their next backoff tick.
     pub fn on_stop(&self, f: impl Fn() + Send + Sync + 'static) {
         self.stop_hooks.lock().push(Box::new(f));
-    }
-
-    /// Drops every rank-event listener. Supervised-run teardown: a
-    /// listener closure typically holds the supervisor harness, which
-    /// holds this engine — clearing the vector breaks the reference cycle
-    /// so both (and the reliable endpoints the harness stores, along with
-    /// their retry threads) can actually drop when the run ends.
-    pub fn clear_rank_listeners(&self) {
-        self.rank_listeners.lock().clear();
     }
 
     /// Drops every registered delivery handler. Only valid once the engine
@@ -678,11 +594,9 @@ impl DeliveryEngine {
     /// wall-clock offset. On `down = true` the call does not return until
     /// any in-flight delivery to the rank has finished, so the caller can
     /// immediately snapshot or roll back the rank's state without racing a
-    /// handler. Transitions emit `RankDown`/`RankRestored` trace events and
-    /// notify [`on_rank_event`] listeners.
+    /// handler. Transitions emit `RankDown`/`RankRestored` trace events.
     ///
     /// [`FaultPlan`]: crate::FaultPlan
-    /// [`on_rank_event`]: DeliveryEngine::on_rank_event
     pub fn set_rank_down(&self, rank: Rank, down: bool) {
         self.set_rank_state(rank, down, 0);
     }
@@ -709,10 +623,9 @@ impl DeliveryEngine {
                 std::hint::spin_loop();
             }
         }
-        let at_ns = clock::now_ns();
         if hiper_trace::enabled() {
             hiper_trace::emit_at(
-                at_ns,
+                clock::now_ns(),
                 if down {
                     EventKind::RankDown
                 } else {
@@ -723,22 +636,12 @@ impl DeliveryEngine {
                 0,
             );
         }
-        let event = if down {
-            RankEvent::Down { rank, at_ns }
-        } else {
-            RankEvent::Restored { rank, at_ns }
-        };
-        for listener in self.rank_listeners.lock().iter() {
-            listener(event);
-        }
     }
 
     /// Injects a message; it will be delivered after the modeled delay.
     pub fn send(&self, msg: Message) {
         assert!(msg.dst < self.ranks, "destination rank out of range");
         let delay = self.config.delay(msg.src, msg.dst, msg.wire_bytes());
-        #[cfg(feature = "slowmo")]
-        let delay = slowmo::scale(msg.channel, delay);
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes

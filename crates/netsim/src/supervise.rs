@@ -12,10 +12,10 @@
 //! When a crash point fires, the victim's stack unwinds (a panic payload the
 //! harness recognises, skipping the panic hook) out of the workload body and
 //! into [`SupervisedCtx::run_supervised`], which drives the recovery
-//! sequence the runtime `Supervisor` tracks:
+//! sequence:
 //!
-//! 1. **Detect** — report `RankDown` to the supervisor, claim the recovery
-//!    (the circuit breaker may refuse), sever the rank in the
+//! 1. **Detect** — claim the recovery from the rank's circuit breaker (it
+//!    refuses once the rank's budget is spent), sever the rank in the
 //!    [`DeliveryEngine`] so in-flight traffic to/from it drains away.
 //! 2. **Quiesce** — hold every peer's reliable endpoint toward the victim:
 //!    no retransmits, no budget burn, sends queue.
@@ -38,20 +38,20 @@
 //! If no intact snapshot exists the recovery **degrades**: the rank stays
 //! severed, peers' retry budgets exhaust into the module's typed
 //! `Unreachable` error, a flight record is dumped for post-mortem, and the
-//! supervisor records the rank as terminally `Failed`.
+//! breaker marks the rank terminally failed.
 
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hiper_checkpoint::CheckpointModule;
-use hiper_runtime::supervisor::{FailureSignal, RecoveryError, RecoveryPhase, Supervisor};
 use hiper_runtime::watchdog;
 use hiper_runtime::Runtime;
 use parking_lot::Mutex;
 
-use crate::engine::{DeliveryEngine, RankEvent};
+use crate::engine::DeliveryEngine;
 use crate::message::Rank;
 use crate::reliable::ReliableTransport;
 
@@ -70,6 +70,37 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Why a rank could not be recovered. Either way the rank stays severed
+/// and its breaker is open for the rest of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryError {
+    /// No intact checkpoint exists for the rank (it died before its first
+    /// checkpoint). The rank degrades to a terminal unreachable.
+    NoCheckpoint,
+    /// The rank's recovery budget is spent, or an earlier recovery failed;
+    /// the failure takes the module's ordinary typed error path.
+    CircuitOpen,
+}
+
+impl fmt::Display for RecoveryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecoveryError::NoCheckpoint => write!(f, "no checkpoint available for rank"),
+            RecoveryError::CircuitOpen => write!(f, "recovery circuit breaker open"),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryError {}
+
+/// One rank's circuit breaker: recoveries started so far, and whether the
+/// rank is terminally failed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Breaker {
+    attempts: u32,
+    failed: bool,
 }
 
 /// The panic payload a [`crash_point`](SupervisorHarness::crash_point)
@@ -103,13 +134,15 @@ impl KillSpec {
     }
 }
 
-/// Shared state for one supervised run: the runtime [`Supervisor`]
-/// bookkeeping, every rank's reliable endpoint (recovery must quiesce
-/// *peers'* endpoints, not just the victim's), and the kill schedule.
-/// Created by the driver before `SpmdBuilder::run` and cloned into the
-/// per-rank closures.
+/// Shared state for one supervised run: the per-rank circuit breakers,
+/// every rank's reliable endpoint (recovery must quiesce *peers'*
+/// endpoints, not just the victim's), and the kill schedule. Created by
+/// the caller before `SpmdBuilder::run` and cloned into the per-rank
+/// closures.
 pub struct SupervisorHarness {
-    supervisor: Supervisor,
+    /// Recoveries allowed per rank before its breaker opens.
+    max_recoveries_per_rank: u32,
+    breakers: Mutex<Vec<Breaker>>,
     nranks: usize,
     kill: Option<KillSpec>,
     endpoints: Mutex<Vec<Option<Arc<ReliableTransport>>>>,
@@ -126,7 +159,8 @@ impl SupervisorHarness {
     /// `max_recoveries_per_rank` attempts.
     pub fn new(nranks: usize, kill: Option<KillSpec>, max_recoveries_per_rank: u32) -> Arc<Self> {
         Arc::new(SupervisorHarness {
-            supervisor: Supervisor::new(max_recoveries_per_rank),
+            max_recoveries_per_rank,
+            breakers: Mutex::new(vec![Breaker::default(); nranks]),
             nranks,
             kill,
             endpoints: Mutex::new(vec![None; nranks]),
@@ -136,17 +170,38 @@ impl SupervisorHarness {
         })
     }
 
-    /// The underlying recovery state machine (phase/attempt queries, the
-    /// signal log for tests).
-    pub fn supervisor(&self) -> &Supervisor {
-        &self.supervisor
+    /// Recoveries started for `rank` so far.
+    pub fn attempts(&self, rank: Rank) -> u32 {
+        self.breakers.lock()[rank].attempts
     }
 
-    /// Wires one rank into the harness: stores its reliable endpoint and
-    /// runtime handle, and (first call only) subscribes the supervisor to
-    /// the engine's rank lifecycle events.
+    /// True once `rank` is terminally failed: its breaker opened or a
+    /// recovery found no checkpoint.
+    pub fn failed(&self, rank: Rank) -> bool {
+        self.breakers.lock()[rank].failed
+    }
+
+    /// Claims the right to recover `rank`. Refuses with `CircuitOpen` once
+    /// the rank is failed or has used its budget (and marks it failed).
+    fn begin_recovery(&self, rank: Rank) -> Result<(), RecoveryError> {
+        let mut breakers = self.breakers.lock();
+        let b = &mut breakers[rank];
+        if b.failed || b.attempts >= self.max_recoveries_per_rank {
+            b.failed = true;
+            return Err(RecoveryError::CircuitOpen);
+        }
+        b.attempts += 1;
+        Ok(())
+    }
+
+    fn mark_failed(&self, rank: Rank) {
+        self.breakers.lock()[rank].failed = true;
+    }
+
+    /// Wires one rank into the harness: stores its reliable endpoint,
+    /// runtime handle and (first call only) the delivery engine.
     pub fn register(
-        self: &Arc<Self>,
+        &self,
         rank: Rank,
         runtime: Runtime,
         endpoint: Arc<ReliableTransport>,
@@ -155,23 +210,7 @@ impl SupervisorHarness {
         endpoint.enable_retention();
         self.endpoints.lock()[rank] = Some(endpoint);
         self.runtimes.lock()[rank] = Some(runtime);
-        let mut slot = self.engine.lock();
-        if slot.is_none() {
-            *slot = Some(engine.clone());
-            let sup = self.clone();
-            engine.on_rank_event(move |ev| match ev {
-                RankEvent::Down { rank, at_ns } => sup.supervisor.report(FailureSignal::RankDown {
-                    rank: rank as u32,
-                    at_ns,
-                }),
-                RankEvent::Restored { rank, at_ns } => {
-                    sup.supervisor.report(FailureSignal::RankRestored {
-                        rank: rank as u32,
-                        at_ns,
-                    })
-                }
-            });
-        }
+        self.engine.lock().get_or_insert_with(|| engine.clone());
     }
 
     /// A cooperative crash point. Every rank calls this once per iteration
@@ -207,29 +246,6 @@ impl SupervisorHarness {
     /// Crash-point visits so far for `rank` (test observability).
     pub fn crossings(&self, rank: Rank) -> u64 {
         self.crossings[rank].load(Ordering::Relaxed)
-    }
-
-    /// Tears the harness down after a run. [`register`] builds a reference
-    /// cycle — harness → engine → rank-event listener closure → harness —
-    /// so without this call the harness, the engine, every stored reliable
-    /// endpoint *and its retry thread* outlive the run forever; a process
-    /// that runs many supervised clusters back to back (the recovery grid)
-    /// accumulates orphan retry threads that keep retransmitting into
-    /// stopped engines and skew later measurements. Supervisor bookkeeping
-    /// (attempt counts, the signal log) stays readable afterwards.
-    ///
-    /// [`register`]: SupervisorHarness::register
-    pub fn shutdown(&self) {
-        for slot in self.endpoints.lock().iter_mut() {
-            *slot = None;
-        }
-        for slot in self.runtimes.lock().iter_mut() {
-            *slot = None;
-        }
-        if let Some(engine) = self.engine.lock().take() {
-            engine.clear_rank_listeners();
-            engine.clear_handlers();
-        }
     }
 
     fn endpoint(&self, rank: Rank) -> Arc<ReliableTransport> {
@@ -369,27 +385,21 @@ impl SupervisedCtx {
             ($($a:tt)*) => { if dbg { eprintln!($($a)*); } }
         }
         let rank = self.rank;
-        let sup = self.harness.supervisor();
         let engine = self.harness.engine();
 
-        sup.report(FailureSignal::RankDown {
-            rank: rank as u32,
-            at_ns: hiper_trace::clock::now_ns(),
-        });
-        if let Err(e) = sup.begin_recovery(rank as u32) {
+        if let Err(e) = self.harness.begin_recovery(rank) {
             self.harness
                 .bump_stat(rank, |s| s.recovery_failed(usize::MAX));
             self.dump_flight_record("recovery circuit breaker open");
             return Err(e);
         }
 
-        // Sever the rank (emits the RankDown trace event and notifies
-        // listeners) and hold every peer's retransmits toward it.
+        // Sever the rank (emits the RankDown trace event) and hold every
+        // peer's retransmits toward it.
         dlog!("[supervise r{}] sever+quiesce", rank);
         engine.set_rank_down(rank, true);
         self.harness.quiesce_peers(rank, true);
 
-        sup.advance(rank as u32, RecoveryPhase::Restoring);
         dlog!("[supervise r{}] restoring", rank);
         let restored = self
             .ckpt
@@ -403,7 +413,7 @@ impl SupervisedCtx {
                 // the module's typed Unreachable error instead of hanging.
                 self.harness
                     .bump_stat(rank, |s| s.recovery_failed(usize::MAX));
-                sup.mark_failed(rank as u32);
+                self.harness.mark_failed(rank);
                 self.dump_flight_record("rank recovery failed: no intact checkpoint");
                 self.harness.quiesce_peers(rank, false);
                 return Err(RecoveryError::NoCheckpoint);
@@ -444,14 +454,8 @@ impl SupervisedCtx {
         self.harness.quiesce_peers(rank, false);
         dlog!("[supervise r{}] epoch now {}; replaying", rank, epoch);
 
-        sup.advance(rank as u32, RecoveryPhase::Replaying);
         self.harness
             .bump_stat(rank, |s| s.rank_recovered(usize::MAX));
-        sup.report(FailureSignal::RankRestored {
-            rank: rank as u32,
-            at_ns: hiper_trace::clock::now_ns(),
-        });
-        sup.mark_resumed(rank as u32);
         Ok(())
     }
 
@@ -462,5 +466,38 @@ impl SupervisedCtx {
         if watchdog::recording() {
             watchdog::dump_record(reason);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn circuit_breaker_opens_after_budget() {
+        let h = SupervisorHarness::new(8, None, 2);
+        assert_eq!(h.begin_recovery(4), Ok(()));
+        assert_eq!(h.begin_recovery(4), Ok(()));
+        assert!(!h.failed(4));
+        assert_eq!(h.begin_recovery(4), Err(RecoveryError::CircuitOpen));
+        assert!(h.failed(4));
+        assert_eq!(h.begin_recovery(4), Err(RecoveryError::CircuitOpen));
+        assert_eq!(h.attempts(4), 2);
+        // A failed rank stays open even with budget left (the NoCheckpoint
+        // path), and other ranks keep their own budgets.
+        assert_eq!(h.begin_recovery(5), Ok(()));
+        h.mark_failed(5);
+        assert_eq!(h.begin_recovery(5), Err(RecoveryError::CircuitOpen));
+        assert_eq!(h.attempts(5), 1);
+        assert_eq!(h.attempts(3), 0);
+        assert!(!h.failed(3));
+    }
+
+    #[test]
+    fn zero_budget_always_degrades() {
+        let h = SupervisorHarness::new(8, None, 0);
+        assert_eq!(h.begin_recovery(7), Err(RecoveryError::CircuitOpen));
+        assert!(h.failed(7));
+        assert_eq!(h.attempts(7), 0);
     }
 }

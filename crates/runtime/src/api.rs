@@ -64,7 +64,7 @@ pub fn finish<R>(f: impl FnOnce() -> R) -> Result<R, TaskError> {
 /// (passed the 1-based attempt number) when the scope fails for a cause
 /// `policy` classifies as retryable. See `Runtime::finish_supervised`.
 pub fn finish_supervised<R>(
-    policy: &crate::supervisor::RetryPolicy,
+    policy: &crate::RetryPolicy,
     f: impl FnMut(u32) -> R,
 ) -> Result<R, TaskError> {
     rt().finish_supervised(policy, f)

@@ -32,11 +32,11 @@ pub mod copy;
 mod event;
 pub mod module;
 mod promise;
+mod retry;
 mod runtime;
 mod scheduler;
 mod smallfn;
 pub mod stats;
-pub mod supervisor;
 mod task;
 pub mod watchdog;
 
@@ -46,9 +46,7 @@ pub use copy::{CopyHandler, CopyRegistry, CopyRequest, HostBuffer, MemLoc};
 pub use event::{Event, WakeHub};
 pub use module::{ModuleError, PollFn, Poller, SchedulerModule};
 pub use promise::{when_all, Future, Promise, TaskError};
+pub use retry::{RetryOn, RetryPolicy};
 pub use runtime::{Runtime, RuntimeBuilder};
 pub use stats::{ModuleStats, SchedStats, SchedStatsSnapshot};
-pub use supervisor::{
-    FailureSignal, RecoveryError, RecoveryPhase, RetryOn, RetryPolicy, Supervisor,
-};
 pub use task::FinishScope;

@@ -558,7 +558,7 @@ impl Runtime {
     /// path — exactly what an unsupervised `finish` would have returned.
     pub fn finish_supervised<R>(
         &self,
-        policy: &crate::supervisor::RetryPolicy,
+        policy: &crate::RetryPolicy,
         mut body: impl FnMut(u32) -> R,
     ) -> Result<R, TaskError> {
         let mut attempt = 1u32;
@@ -948,10 +948,12 @@ impl Runtime {
                 scope.fail(TaskError::new(msg));
             }
         }
+        // Count the task before checking it out: a finish waiter released
+        // by the check-out then sees every task of its scope counted.
+        self.inner.sched.stats.task_executed(shard);
         if let Some(scope) = scope {
             scope.check_out();
         }
-        self.inner.sched.stats.task_executed(shard);
         crate::watchdog::note_progress();
     }
 

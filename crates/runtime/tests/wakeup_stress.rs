@@ -176,31 +176,55 @@ fn spawn_fast_path_skips_wakes_when_nobody_parked() {
 }
 
 /// Batched raids show up in the counters. External spawns land in the place
-/// injector, and the calling thread floods it far faster than workers drain
-/// it, so some drain must move more than one task and bank the extras —
-/// which is exactly what `batch_steals` counts.
+/// injector; a drain that finds more than one task there moves a batch and
+/// banks the extras, which is exactly what `batch_steals` counts. Both
+/// workers are held on a latch while the test thread enqueues every task,
+/// so the first drain after the release is guaranteed a full injector —
+/// with free workers, the drains can keep pace with the spawner and only
+/// ever find one task.
 #[test]
 fn batch_steals_are_counted() {
     const TASKS: u64 = 4000;
-    let rt = Runtime::new(autogen::smp(2));
+    const WORKERS: u64 = 2;
+    let rt = Runtime::new(autogen::smp(WORKERS as usize));
     let ran = Arc::new(AtomicU64::new(0));
+    let latched = Arc::new(AtomicU64::new(0));
+    let release = Arc::new(AtomicBool::new(false));
     // `finish` on the test thread: every spawn inside is an external spawn
-    // (injector path), racing the workers' batched drains.
-    rt.finish(|| {
-        for _ in 0..TASKS {
-            let ran = Arc::clone(&ran);
-            rt.spawn(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    })
-    .expect("no task panicked");
+    // (injector path).
+    let before = rt
+        .finish(|| {
+            for _ in 0..WORKERS {
+                let latched = Arc::clone(&latched);
+                let release = Arc::clone(&release);
+                rt.spawn(move || {
+                    latched.fetch_add(1, Ordering::AcqRel);
+                    while !release.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                });
+            }
+            while latched.load(Ordering::Acquire) < WORKERS {
+                thread::yield_now();
+            }
+            let before = rt.sched_stats();
+            for _ in 0..TASKS {
+                let ran = Arc::clone(&ran);
+                rt.spawn(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            release.store(true, Ordering::Release);
+            before
+        })
+        .expect("no task panicked");
     assert_eq!(ran.load(Ordering::Relaxed), TASKS);
     let snap = rt.sched_stats();
-    assert_eq!(snap.tasks_executed, TASKS);
+    assert_eq!(snap.tasks_executed, TASKS + WORKERS);
+    let delta = snap.diff(&before);
     assert!(
-        snap.batch_steals > 0,
-        "flooding the injector must produce at least one batched drain: {snap}"
+        delta.batch_steals > 0,
+        "draining a full injector must produce at least one batched drain: {delta}"
     );
     rt.shutdown();
 }
