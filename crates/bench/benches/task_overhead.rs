@@ -67,40 +67,6 @@ fn bench_forasync(c: &mut Criterion) {
     rt.shutdown();
 }
 
-/// Spawn-heavy producer/consumer fan-out: a handful of producer tasks each
-/// spawn a stream of tiny consumer tasks. This hammers the spawn-side wake
-/// path (workers oscillate between idle and busy, so every spawn decides
-/// whether and whom to wake) and the steal path (consumers are distributed
-/// by stealing).
-fn bench_spawn_fanout(c: &mut Criterion) {
-    let rt = Runtime::new(autogen::smp(4));
-    let rt2 = rt.clone();
-    c.bench_function("fanout_8x1000_producer_consumer", |b| {
-        b.iter(|| {
-            let acc = Arc::new(AtomicU64::new(0));
-            let a = Arc::clone(&acc);
-            rt2.block_on(move || {
-                api::finish(|| {
-                    for _ in 0..8 {
-                        let a = Arc::clone(&a);
-                        api::async_(move || {
-                            for _ in 0..1000 {
-                                let a = Arc::clone(&a);
-                                api::async_(move || {
-                                    a.fetch_add(1, Ordering::Relaxed);
-                                });
-                            }
-                        });
-                    }
-                })
-                .expect("no task panicked");
-            });
-            acc.load(Ordering::Relaxed)
-        })
-    });
-    rt.shutdown();
-}
-
 fn bench_deque(c: &mut Criterion) {
     c.bench_function("deque_push_pop_1000", |b| {
         let (w, _s) = hiper_deque::new_deque();
@@ -140,6 +106,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_spawn_finish, bench_promise_roundtrip, bench_forasync, bench_spawn_fanout, bench_deque
+    targets = bench_spawn_finish, bench_promise_roundtrip, bench_forasync, bench_deque
 }
 criterion_main!(benches);

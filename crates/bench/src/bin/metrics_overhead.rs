@@ -1,5 +1,5 @@
 //! Measures what the metrics registry costs: the spawn-heavy fanout
-//! workload run with metrics disabled and enabled, plus the raw per-record
+//! workload (`perfgate::fanout`) run with metrics disabled and enabled, plus the raw per-record
 //! histogram cost, written to `BENCH_metrics_overhead.json`.
 //!
 //! The disabled numbers back the acceptance bar: every instrumented site
@@ -11,57 +11,11 @@
 //! cargo run --release -p hiper-bench --bin metrics_overhead -- [out.json]
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
+use hiper_bench::perfgate::time_fanout;
 use hiper_platform::autogen;
-use hiper_runtime::{api, Runtime};
-
-/// Same fanout as `trace_overhead` / the perf gate: 8 producers x 1000
-/// tiny consumers, hammering spawn/wake/steal — every metrics-instrumented
-/// scheduler path.
-fn fanout(rt: &Runtime) -> u64 {
-    let acc = Arc::new(AtomicU64::new(0));
-    let a = Arc::clone(&acc);
-    rt.block_on(move || {
-        api::finish(|| {
-            for _ in 0..8 {
-                let a = Arc::clone(&a);
-                api::async_(move || {
-                    for _ in 0..1000 {
-                        let a = Arc::clone(&a);
-                        api::async_(move || {
-                            a.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        })
-        .expect("no task panicked");
-    });
-    acc.load(Ordering::Relaxed)
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-fn time_fanout(rt: &Runtime, warmup: usize, reps: usize) -> (f64, f64, f64) {
-    for _ in 0..warmup {
-        assert_eq!(fanout(rt), 8000);
-    }
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            fanout(rt);
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    let med = median(&mut samples);
-    (samples[0], med, samples[samples.len() - 1])
-}
+use hiper_runtime::Runtime;
 
 /// ns per `Histogram::record` call (enabled path) over `n` calls.
 fn record_cost(n: u64) -> f64 {

@@ -177,7 +177,7 @@ fn main() {
     print!("{}", rendered);
     write_out(&out, &rendered);
     if let Some(save) = flag_value(&args, "--save-profile") {
-        let input = DiffInput::from_trace(&stem(&path), &data);
+        let input = DiffInput::from_analysis(&stem(&path), &analysis);
         if let Err(e) = std::fs::write(&save, input.to_json()) {
             eprintln!("profile: cannot write {}: {}", save, e);
             std::process::exit(2);

@@ -1,6 +1,6 @@
-//! Measures what tracing costs: the spawn-heavy fanout workload (the same
-//! producer/consumer pattern as the `task_overhead` bench) run with tracing
-//! disabled and enabled, plus the raw per-emit cost, written to
+//! Measures what tracing costs: the spawn-heavy fanout workload (the perf
+//! gate's `fanout_ms` body, `perfgate::fanout`) run with tracing disabled
+//! and enabled, plus the raw per-emit cost, written to
 //! `BENCH_trace_overhead.json`.
 //!
 //! The disabled numbers are the ones that matter for the "zero cost when
@@ -12,57 +12,12 @@
 //! cargo run --release -p hiper-bench --bin trace_overhead -- [out.json]
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
+use hiper_bench::perfgate::time_fanout;
 use hiper_platform::autogen;
-use hiper_runtime::{api, Runtime};
+use hiper_runtime::Runtime;
 use hiper_trace::EventKind;
-
-/// 8 producers each spawning 1000 tiny consumers (hammers the spawn, wake
-/// and steal paths — the hottest instrumented code).
-fn fanout(rt: &Runtime) -> u64 {
-    let acc = Arc::new(AtomicU64::new(0));
-    let a = Arc::clone(&acc);
-    rt.block_on(move || {
-        api::finish(|| {
-            for _ in 0..8 {
-                let a = Arc::clone(&a);
-                api::async_(move || {
-                    for _ in 0..1000 {
-                        let a = Arc::clone(&a);
-                        api::async_(move || {
-                            a.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        })
-        .expect("no task panicked");
-    });
-    acc.load(Ordering::Relaxed)
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-fn time_fanout(rt: &Runtime, warmup: usize, reps: usize) -> (f64, f64, f64) {
-    for _ in 0..warmup {
-        assert_eq!(fanout(rt), 8000);
-    }
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            fanout(rt);
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    let med = median(&mut samples);
-    (samples[0], med, samples[samples.len() - 1])
-}
 
 /// ns per call of `emit` (or its disabled-path check) over `n` calls.
 fn emit_cost(n: u64) -> f64 {

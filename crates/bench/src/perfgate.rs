@@ -146,40 +146,62 @@ pub fn compare(
 // Workloads
 // ---------------------------------------------------------------------
 
-/// Scheduler fanout: 8 producers × 1000 tiny consumers on a 4-worker SMP
-/// runtime — the spawn/wake/steal hot path (same shape as the
-/// `task_overhead` bench and the trace/chaos overhead gates). Raw per-rep
-/// samples (ms).
+/// One scheduler fanout: 8 producers × 1000 tiny consumers — the
+/// spawn/wake/steal hot path. The `trace_overhead` and `metrics_overhead`
+/// bins time this same body with their instrumentation off and on.
+pub fn fanout(rt: &Runtime) {
+    let acc = Arc::new(AtomicU64::new(0));
+    let a = Arc::clone(&acc);
+    rt.block_on(move || {
+        api::finish(|| {
+            for _ in 0..8 {
+                let a = Arc::clone(&a);
+                api::async_(move || {
+                    for _ in 0..1000 {
+                        let a = Arc::clone(&a);
+                        api::async_(move || {
+                            a.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        })
+        .expect("no task panicked");
+    });
+    assert_eq!(acc.load(Ordering::Relaxed), 8000);
+}
+
+/// Times `reps` runs of [`fanout`] on `rt` after `warmup` untimed ones;
+/// returns (min, median, max) ms.
+pub fn time_fanout(rt: &Runtime, warmup: usize, reps: usize) -> (f64, f64, f64) {
+    for _ in 0..warmup {
+        fanout(rt);
+    }
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            fanout(rt);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (
+        samples[0],
+        samples[samples.len() / 2],
+        samples[samples.len() - 1],
+    )
+}
+
+/// [`fanout`] on a 4-worker SMP runtime. Raw per-rep samples (ms).
 pub fn fanout_samples(reps: usize) -> Vec<f64> {
     let rt = Runtime::new(autogen::smp(4));
-    let one = |rt: &Runtime| {
-        let acc = Arc::new(AtomicU64::new(0));
-        let a = Arc::clone(&acc);
-        rt.block_on(move || {
-            api::finish(|| {
-                for _ in 0..8 {
-                    let a = Arc::clone(&a);
-                    api::async_(move || {
-                        for _ in 0..1000 {
-                            let a = Arc::clone(&a);
-                            api::async_(move || {
-                                a.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                }
-            })
-            .expect("no task panicked");
-        });
-        assert_eq!(acc.load(Ordering::Relaxed), 8000);
-    };
     for _ in 0..2 {
-        one(&rt);
+        fanout(&rt);
     }
     let samples = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            one(&rt);
+            fanout(&rt);
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();

@@ -28,10 +28,8 @@ use hiper_trace::TraceData;
 /// startup/teardown jitter in the wall-clock delta.
 const ROUNDS: usize = 400;
 
-/// One traced 2-rank ping-pong run over `net`, returning the drained trace.
-fn traced_pingpong(net: NetConfig) -> TraceData {
-    let _ = hiper_trace::drain(); // discard anything before the window
-    hiper_trace::set_enabled(true);
+/// One 2-rank ping-pong run over `net`.
+fn pingpong(net: NetConfig) {
     let done = SpmdBuilder::new(2).net(net).workers_per_rank(2).run(
         |_r, t| {
             let mpi = MpiModule::new(t);
@@ -51,8 +49,15 @@ fn traced_pingpong(net: NetConfig) -> TraceData {
             true
         },
     );
-    hiper_trace::set_enabled(false);
     assert_eq!(done, vec![true, true]);
+}
+
+/// One traced [`pingpong`] run, returning the drained trace.
+fn traced_pingpong(net: NetConfig) -> TraceData {
+    let _ = hiper_trace::drain(); // discard anything before the window
+    hiper_trace::set_enabled(true);
+    pingpong(net);
+    hiper_trace::set_enabled(false);
     hiper_trace::drain()
 }
 
@@ -62,6 +67,9 @@ fn chrome_roundtrip_self_diffs_to_zero_and_slowdown_is_attributed() {
     // events per worker. Parsed at first ring registration, so this must
     // run before any runtime exists in this process.
     std::env::set_var("HIPER_TRACE_BUF", "262144");
+    // An untraced warm-up, so the process's first-run start-up costs fall
+    // outside the base run the slowed run is compared against.
+    pingpong(NetConfig::default());
 
     // --- Phase 1: Chrome-JSON roundtrip of a distributed trace. ---
     let live = traced_pingpong(NetConfig::default());

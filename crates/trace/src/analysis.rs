@@ -1,22 +1,30 @@
 //! Post-mortem trace analysis: task-DAG critical path, per-worker
-//! utilization timelines, and load-imbalance / steal-locality summaries.
+//! utilization timelines, per-module time, spawn→begin queue latency, and
+//! load-imbalance / steal-locality summaries.
 //!
-//! Works over drained [`TraceData`] — either a live drain at the end of a
-//! run or a Chrome trace re-parsed back into events (`hiper-bench` ships
-//! the loader). The critical path is the longest spawn/join chain in the
-//! task DAG: starting from the task that *finished last*, walk parent
-//! spawn links back to a root, then partition the wall interval of that
-//! chain into contiguous segments — parent compute, module (communication)
-//! time inside it, and each child's spawn→begin queue wait, classified by
-//! how the executing worker acquired the task (own pop vs steal/injector).
+//! [`ProfileAnalysis::build`] is the one aggregation of a drained
+//! [`TraceData`] — either a live drain at the end of a run or a Chrome
+//! trace re-parsed back into events (`hiper-bench` ships the loader). Its
+//! `Display` is the summary a `TraceSession` prints at finish and the
+//! `profile` binary prints; the differential profiler projects it into a
+//! [`DiffInput`](crate::diff::DiffInput).
+//!
+//! The critical path is the longest spawn/join chain in the task DAG:
+//! starting from the task that *finished last*, walk parent spawn links
+//! back to a root, then partition the wall interval of that chain into
+//! contiguous segments — parent compute, module (communication) time
+//! inside it, and each child's spawn→begin queue wait, classified by how
+//! the executing worker acquired the task (own pop vs steal/injector).
 //! The segments are boundaries of one interval, so they sum to the chain's
 //! wall time *exactly*; any scheduling improvement must shrink one of them.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use hiper_metrics::{bucket_index, HistogramSnapshot};
+
 use crate::ring::EventKind;
-use crate::TraceData;
+use crate::{fmt_ns, resolve, TraceData};
 
 /// How the executing worker obtained a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -137,6 +145,8 @@ pub struct CriticalPath {
 pub struct WorkerTimeline {
     /// Track label (thread name).
     pub label: String,
+    /// Simulated rank of the track (`None` for rankless tracks).
+    pub rank: Option<usize>,
     /// Tasks that began here.
     pub tasks: u64,
     /// Time inside top-level task spans.
@@ -171,6 +181,19 @@ pub struct LoadSummary {
     pub mean_probe_depth: f64,
 }
 
+/// Calls and span time of one `module` or `module:op`, counted at every
+/// nesting level (nested spans count inside their parent's time too).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModuleTime {
+    /// Completed spans.
+    pub calls: u64,
+    /// Total span time across all tracks (concurrent spans sum).
+    pub total_ns: u64,
+}
+
+/// One top-level module span on a track: `(start, end, module:op key)`.
+pub(crate) type ModuleSpan = (u64, u64, String);
+
 /// Full post-mortem analysis of one drained trace.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileAnalysis {
@@ -191,6 +214,15 @@ pub struct ProfileAnalysis {
     pub workers: Vec<WorkerTimeline>,
     /// Imbalance and locality aggregates.
     pub load: LoadSummary,
+    /// Every task seen, by trace id, its lifecycle joined across tracks.
+    pub(crate) tasks: BTreeMap<u64, TaskRecord>,
+    /// Per-`module:op` totals (key `module` when the op is empty).
+    pub modules: BTreeMap<String, ModuleTime>,
+    /// Top-level module spans, indexed like `TraceData::tracks`.
+    pub(crate) module_spans: Vec<Vec<ModuleSpan>>,
+    /// Spawn→begin latency of every task whose spawn and begin were both
+    /// traced.
+    pub queue_latency: HistogramSnapshot,
 }
 
 /// One endpoint of a causal message edge (`MsgSend` / `MsgDeliver`
@@ -242,56 +274,90 @@ fn bin_interval(bins: &mut [f64], t0: u64, wall: u64, s: u64, e: u64) {
 }
 
 impl ProfileAnalysis {
-    /// Analyzes drained trace data.
+    /// Analyzes drained trace data in one walk over its events.
     pub fn build(data: &TraceData) -> ProfileAnalysis {
         let mut out = ProfileAnalysis::default();
-        let mut tasks: BTreeMap<u64, TaskRecord> = BTreeMap::new();
         let mut min_ts = u64::MAX;
         let mut max_ts = 0u64;
+        let workers_hint = data
+            .tracks
+            .iter()
+            .filter_map(|t| worker_index(&t.label))
+            .max()
+            .map(|m| m + 1);
 
-        // Pass 1: join task lifecycles across tracks and collect acquisition
-        // + steal-locality counters, plus causal message edges for the
-        // distributed critical path.
+        // The walk: join task lifecycles across tracks, collect acquisition
+        // and steal-locality counters and causal message edges, and follow
+        // each track's span stacks (single-writer rings keep them
+        // well-nested) for busy, parked and module time.
         let mut probe_depths: Vec<u64> = Vec::new();
         let mut sends: BTreeMap<u64, MsgEv> = BTreeMap::new();
         let mut delivers: Vec<MsgEv> = Vec::new();
+        // Top-level task spans per worker, binned once the wall is known.
+        let mut busy_spans: Vec<Vec<(u64, u64)>> = Vec::new();
         for (ti, track) in data.tracks.iter().enumerate() {
             out.dropped += track.dropped;
+            out.module_spans.push(Vec::new());
+            if track.events.is_empty() {
+                continue;
+            }
             let thief = worker_index(&track.label);
-            let workers_hint = data
-                .tracks
-                .iter()
-                .filter_map(|t| worker_index(&t.label))
-                .max()
-                .map(|m| m + 1);
+            let mut tl = WorkerTimeline {
+                label: track.label.clone(),
+                rank: track.rank,
+                tasks: 0,
+                busy_ns: 0,
+                parked_ns: 0,
+                bins: vec![0.0; BINS],
+            };
+            let mut busy = Vec::new();
+            let mut task_stack: Vec<u64> = Vec::new();
+            let mut module_stack: Vec<(String, u64)> = Vec::new();
+            let mut park_start: Option<u64> = None;
             for e in &track.events {
                 out.events += 1;
                 min_ts = min_ts.min(e.ts_ns);
                 max_ts = max_ts.max(e.ts_ns);
                 match e.kind {
                     EventKind::TaskSpawn => {
-                        let rec = tasks.entry(e.a).or_default();
+                        let rec = out.tasks.entry(e.a).or_default();
                         rec.parent = e.b;
                         rec.spawn_ts = e.ts_ns;
                     }
                     EventKind::TaskBegin => {
-                        let rec = tasks.entry(e.a).or_default();
+                        let rec = out.tasks.entry(e.a).or_default();
                         rec.begin_ts = e.ts_ns;
                         rec.track = ti;
+                        tl.tasks += 1;
+                        task_stack.push(e.ts_ns);
                     }
                     EventKind::TaskEnd => {
-                        tasks.entry(e.a).or_default().end_ts = e.ts_ns;
+                        out.tasks.entry(e.a).or_default().end_ts = e.ts_ns;
+                        if let Some(begin) = task_stack.pop() {
+                            // Nested (help-first) task time counts once,
+                            // under the outermost span.
+                            if task_stack.is_empty() {
+                                tl.busy_ns += e.ts_ns.saturating_sub(begin);
+                                busy.push((begin, e.ts_ns));
+                            }
+                        }
+                    }
+                    EventKind::Park => park_start = Some(e.ts_ns),
+                    EventKind::Unpark => {
+                        if let Some(begin) = park_start.take() {
+                            tl.parked_ns += e.ts_ns.saturating_sub(begin);
+                        }
                     }
                     EventKind::Pop => {
                         out.load.pops += 1;
                         if e.a != 0 {
-                            tasks.entry(e.a).or_default().acquired = Acquisition::Pop;
+                            out.tasks.entry(e.a).or_default().acquired = Acquisition::Pop;
                         }
                     }
                     EventKind::Steal => {
                         out.load.steals += 1;
                         if e.a != 0 {
-                            tasks.entry(e.a).or_default().acquired = Acquisition::Steal(e.b);
+                            out.tasks.entry(e.a).or_default().acquired = Acquisition::Steal(e.b);
                         }
                         if let (Some(me), Some(workers)) = (thief, workers_hint) {
                             let depth = (e.b + workers - me) % workers;
@@ -304,7 +370,28 @@ impl ProfileAnalysis {
                     EventKind::InjectorDrain => {
                         out.load.injector_hits += 1;
                         if e.a != 0 {
-                            tasks.entry(e.a).or_default().acquired = Acquisition::Injector;
+                            out.tasks.entry(e.a).or_default().acquired = Acquisition::Injector;
+                        }
+                    }
+                    EventKind::ModuleEnter => {
+                        let (module, op) = (resolve(e.a), resolve(e.b));
+                        let key = if op.is_empty() {
+                            module.to_string()
+                        } else {
+                            format!("{}:{}", module, op)
+                        };
+                        module_stack.push((key, e.ts_ns));
+                    }
+                    EventKind::ModuleExit => {
+                        if let Some((key, begin)) = module_stack.pop() {
+                            // Top-level spans feed critical-path attribution:
+                            // nested calls are already inside the outer one.
+                            if module_stack.is_empty() {
+                                out.module_spans[ti].push((begin, e.ts_ns, key.clone()));
+                            }
+                            let m = out.modules.entry(key).or_default();
+                            m.calls += 1;
+                            m.total_ns += e.ts_ns.saturating_sub(begin);
                         }
                     }
                     EventKind::MsgSend => {
@@ -316,68 +403,34 @@ impl ProfileAnalysis {
                     _ => {}
                 }
             }
+            out.workers.push(tl);
+            busy_spans.push(busy);
         }
         if min_ts == u64::MAX {
             return out;
         }
         out.start_ns = min_ts;
         out.wall_ns = max_ts - min_ts;
+        for (tl, busy) in out.workers.iter_mut().zip(&busy_spans) {
+            for &(s, e) in busy {
+                bin_interval(&mut tl.bins, min_ts, out.wall_ns, s, e);
+            }
+        }
         if !probe_depths.is_empty() {
             out.load.mean_probe_depth =
                 probe_depths.iter().sum::<u64>() as f64 / probe_depths.len() as f64;
         }
-
-        // Pass 2: per-track spans — top-level task busy intervals feed the
-        // utilization bins, module intervals feed critical-path attribution.
-        let mut module_intervals: Vec<Vec<(u64, u64)>> = vec![Vec::new(); data.tracks.len()];
-        for (ti, track) in data.tracks.iter().enumerate() {
-            if track.events.is_empty() {
-                continue;
+        // Queue latency over the joined records, so a spawn traced on a
+        // later track than its begin still counts.
+        let q = &mut out.queue_latency;
+        for rec in out.tasks.values() {
+            if rec.spawn_ts != 0 && rec.begin_ts != 0 {
+                let ns = rec.begin_ts.saturating_sub(rec.spawn_ts);
+                q.buckets[bucket_index(ns)] += 1;
+                q.count += 1;
+                q.sum += ns;
+                q.max = q.max.max(ns);
             }
-            let mut tl = WorkerTimeline {
-                label: track.label.clone(),
-                tasks: 0,
-                busy_ns: 0,
-                parked_ns: 0,
-                bins: vec![0.0; BINS],
-            };
-            let mut task_stack: Vec<u64> = Vec::new();
-            let mut module_stack: Vec<u64> = Vec::new();
-            let mut park_start: Option<u64> = None;
-            for e in &track.events {
-                match e.kind {
-                    EventKind::TaskBegin => {
-                        tl.tasks += 1;
-                        task_stack.push(e.ts_ns);
-                    }
-                    EventKind::TaskEnd => {
-                        if let Some(begin) = task_stack.pop() {
-                            if task_stack.is_empty() {
-                                tl.busy_ns += e.ts_ns.saturating_sub(begin);
-                                bin_interval(&mut tl.bins, min_ts, out.wall_ns, begin, e.ts_ns);
-                            }
-                        }
-                    }
-                    EventKind::Park => park_start = Some(e.ts_ns),
-                    EventKind::Unpark => {
-                        if let Some(begin) = park_start.take() {
-                            tl.parked_ns += e.ts_ns.saturating_sub(begin);
-                        }
-                    }
-                    EventKind::ModuleEnter => module_stack.push(e.ts_ns),
-                    EventKind::ModuleExit => {
-                        if let Some(begin) = module_stack.pop() {
-                            // Top-level module spans only: nested calls are
-                            // already covered by the outer interval.
-                            if module_stack.is_empty() {
-                                module_intervals[ti].push((begin, e.ts_ns));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            out.workers.push(tl);
         }
 
         // Load imbalance over *worker* tracks (external threads excluded —
@@ -416,10 +469,16 @@ impl ProfileAnalysis {
             for list in by_rank.values_mut() {
                 list.sort_by_key(|d| d.ts);
             }
-            distributed_critical_path(&tasks, &module_intervals, &track_ranks, &sends, &by_rank)
-                .or_else(|| critical_path(&tasks, &module_intervals))
+            distributed_critical_path(
+                &out.tasks,
+                &out.module_spans,
+                &track_ranks,
+                &sends,
+                &by_rank,
+            )
+            .or_else(|| critical_path(&out.tasks, &out.module_spans))
         } else {
-            critical_path(&tasks, &module_intervals)
+            critical_path(&out.tasks, &out.module_spans)
         };
         out
     }
@@ -427,16 +486,16 @@ impl ProfileAnalysis {
 
 /// Total overlap between `[s, e)` and the (unsorted, top-level, pairwise
 /// disjoint) intervals recorded for one track.
-fn overlap_ns(intervals: &[(u64, u64)], s: u64, e: u64) -> u64 {
+fn overlap_ns(intervals: &[ModuleSpan], s: u64, e: u64) -> u64 {
     intervals
         .iter()
-        .map(|&(is, ie)| ie.min(e).saturating_sub(is.max(s)))
+        .map(|&(is, ie, _)| ie.min(e).saturating_sub(is.max(s)))
         .sum()
 }
 
 fn critical_path(
     tasks: &BTreeMap<u64, TaskRecord>,
-    module_intervals: &[Vec<(u64, u64)>],
+    module_spans: &[Vec<ModuleSpan>],
 ) -> Option<CriticalPath> {
     // Leaf: the last-finishing complete task that spawned nothing. Finish
     // scopes make ancestors end *after* all their descendants (the join),
@@ -520,7 +579,7 @@ fn critical_path(
                          rec: &TaskRecord,
                          s: u64,
                          e: u64| {
-        let m = module_intervals
+        let m = module_spans
             .get(rec.track)
             .map_or(0, |iv| overlap_ns(iv, s, e))
             .min(e.saturating_sub(s));
@@ -572,7 +631,7 @@ fn critical_path(
 /// (instant) networks where send and deliver share one timestamp.
 fn distributed_critical_path(
     tasks: &BTreeMap<u64, TaskRecord>,
-    module_intervals: &[Vec<(u64, u64)>],
+    module_spans: &[Vec<ModuleSpan>],
     track_ranks: &[Option<usize>],
     sends: &BTreeMap<u64, MsgEv>,
     delivers_by_rank: &BTreeMap<usize, Vec<MsgEv>>,
@@ -614,7 +673,7 @@ fn distributed_critical_path(
                          s: u64,
                          e: u64| {
         let m = rec
-            .and_then(|r| module_intervals.get(r.track))
+            .and_then(|r| module_spans.get(r.track))
             .map_or(0, |iv| overlap_ns(iv, s, e))
             .min(e.saturating_sub(s));
         push(
@@ -774,18 +833,6 @@ fn distributed_critical_path(
     Some(cp)
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2} us", ns as f64 / 1e3)
-    } else {
-        format!("{} ns", ns)
-    }
-}
-
 fn bar(frac: f64) -> char {
     const RAMP: [char; 9] = [' ', '.', ':', '-', '=', '+', '*', '#', '@'];
     let i = (frac.clamp(0.0, 1.0) * (RAMP.len() - 1) as f64).round() as usize;
@@ -915,9 +962,11 @@ impl fmt::Display for ProfileAnalysis {
                     0.0
                 };
                 let line: String = w.bins.iter().map(|&b| bar(b)).collect();
+                let rank = w.rank.map_or("-".to_string(), |r| format!("rank {}", r));
                 writeln!(
                     f,
-                    "    {:<24} [{}] busy {:>10} ({:5.1}%)  parked {:>10}  tasks {}",
+                    "    {:<7} {:<24} [{}] busy {:>10} ({:5.1}%)  parked {:>10}  tasks {}",
+                    rank,
                     w.label,
                     line,
                     fmt_ns(w.busy_ns),
@@ -926,6 +975,32 @@ impl fmt::Display for ProfileAnalysis {
                     w.tasks
                 )?;
             }
+        }
+        if !self.modules.is_empty() {
+            let total: u64 = self.modules.values().map(|m| m.total_ns).sum();
+            writeln!(f, "  per-module time:")?;
+            for (name, m) in &self.modules {
+                writeln!(
+                    f,
+                    "    {:<24} calls {:>7}  total {:>10} ({:5.1}% of module time)",
+                    name,
+                    m.calls,
+                    fmt_ns(m.total_ns),
+                    100.0 * m.total_ns as f64 / total.max(1) as f64
+                )?;
+            }
+        }
+        let q = &self.queue_latency;
+        if q.count > 0 {
+            writeln!(
+                f,
+                "  spawn->begin latency: n={} mean {} p50 {} p90 {} p99 {}",
+                q.count,
+                fmt_ns(q.mean() as u64),
+                fmt_ns(q.quantile(0.50)),
+                fmt_ns(q.quantile(0.90)),
+                fmt_ns(q.quantile(0.99))
+            )?;
         }
         let l = &self.load;
         writeln!(
@@ -1038,6 +1113,85 @@ mod tests {
         assert_eq!(analysis.load.first_probe_steals, 1, "worker-1 stole from 0");
         assert_eq!(analysis.workers.len(), 2);
         assert!((analysis.load.imbalance - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_walk_records_modules_parks_and_queue_latency() {
+        let m = crate::intern("mpi");
+        let op = crate::intern("send");
+        let data = TraceData {
+            tracks: vec![
+                TrackData {
+                    label: "w0".into(),
+                    events: vec![
+                        e(10, EventKind::TaskSpawn, 1, 0, 0),
+                        e(100, EventKind::TaskBegin, 1, 0, 0),
+                        e(200, EventKind::ModuleEnter, m, op, 64),
+                        e(300, EventKind::ModuleEnter, m, 0, 0),
+                        e(400, EventKind::ModuleExit, m, 0, 0),
+                        e(700, EventKind::ModuleExit, m, op, 0),
+                        e(1_100, EventKind::TaskEnd, 1, 0, 0),
+                        e(1_200, EventKind::Park, 0, 0, 0),
+                        e(1_500, EventKind::Unpark, 1, 0, 0),
+                    ],
+                    dropped: 2,
+                    rank: Some(3),
+                },
+                TrackData {
+                    label: "empty".into(),
+                    events: vec![],
+                    dropped: 0,
+                    rank: None,
+                },
+            ],
+        };
+        let a = ProfileAnalysis::build(&data);
+        assert_eq!(a.events, 9);
+        assert_eq!(a.dropped, 2);
+        assert_eq!(a.wall_ns, 1_490);
+        assert_eq!(a.workers.len(), 1, "empty tracks omitted");
+        let w = &a.workers[0];
+        assert_eq!((w.rank, w.busy_ns, w.parked_ns), (Some(3), 1_000, 300));
+        let send = ModuleTime {
+            calls: 1,
+            total_ns: 500,
+        };
+        let nested = ModuleTime {
+            calls: 1,
+            total_ns: 100,
+        };
+        assert_eq!(a.modules.get("mpi:send"), Some(&send));
+        assert_eq!(a.modules.get("mpi"), Some(&nested), "nested spans count");
+        assert_eq!(
+            a.module_spans,
+            vec![vec![(200, 700, "mpi:send".to_string())], vec![]],
+            "only the top-level span, labeled, per track"
+        );
+        assert_eq!((a.queue_latency.count, a.queue_latency.sum), (1, 90));
+        let shown = a.to_string();
+        assert!(shown.contains("rank 3"), "{shown}");
+        assert!(shown.contains("mpi:send"), "{shown}");
+        assert!(shown.contains("p99"), "{shown}");
+    }
+
+    #[test]
+    fn nested_tasks_count_busy_once() {
+        let data = TraceData {
+            tracks: vec![TrackData {
+                label: "w0".into(),
+                events: vec![
+                    e(0, EventKind::TaskBegin, 1, 0, 0),
+                    e(100, EventKind::TaskBegin, 2, 0, 0),
+                    e(400, EventKind::TaskEnd, 2, 0, 0),
+                    e(1_000, EventKind::TaskEnd, 1, 0, 0),
+                ],
+                dropped: 0,
+                rank: None,
+            }],
+        };
+        let a = ProfileAnalysis::build(&data);
+        assert_eq!(a.workers[0].busy_ns, 1_000, "no double counting");
+        assert_eq!(a.workers[0].tasks, 2);
     }
 
     #[test]

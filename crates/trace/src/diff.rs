@@ -6,28 +6,30 @@
 //! distribution shifts (DESIGN.md §2.14).
 //!
 //! The unit of comparison is a [`DiffInput`]: a compact per-run profile
-//! extracted from drained [`TraceData`] (or re-loaded Chrome JSON) by
-//! [`DiffInput::from_trace`], optionally refined with a machine-readable
-//! metrics snapshot via [`DiffInput::apply_metrics`]. Profiles serialize to
-//! a few KB of JSON — cheap enough to commit next to the perf-gate
-//! baseline — and two of them diff without re-reading the source traces.
+//! projected from a [`ProfileAnalysis`] by [`DiffInput::from_analysis`]
+//! ([`DiffInput::from_trace`] builds the analysis of drained [`TraceData`]
+//! or re-loaded Chrome JSON first), optionally refined with a
+//! machine-readable metrics snapshot via [`DiffInput::apply_metrics`].
+//! Profiles serialize to a few KB of JSON — cheap enough to commit next to
+//! the perf-gate baseline — and two of them diff without re-reading the
+//! source traces.
 //!
 //! Alignment is structural, not positional: task ids differ across runs,
 //! so tasks are matched by a signature hashed from their spawn-tree path
-//! (root ordinal, then each child's spawn ordinal under its parent) and
-//! modules by their interned `module:op` labels. A diff of a trace against
+//! (root ordinal, then each child's spawn ordinal under its parent),
+//! modules by their interned `module:op` labels, and workers by role (a
+//! rank's n-th busiest worker in each run). A diff of a trace against
 //! itself is exactly zero everywhere — the self-test the roundtrip suite
 //! pins.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hiper_metrics::{bucket_index, HistogramSnapshot, MetricsSnapshot};
+use hiper_metrics::{HistogramSnapshot, MetricsSnapshot};
 use hiper_platform::json::Json;
 
-use crate::analysis::{ProfileAnalysis, SegmentKind};
-use crate::ring::EventKind;
-use crate::{resolve, TraceData};
+use crate::analysis::{ProfileAnalysis, SegmentKind, TaskRecord};
+use crate::{fmt_ns, TraceData};
 
 /// The runtime's spawn→begin latency histogram; when a metrics snapshot
 /// carries it, [`DiffInput::apply_metrics`] prefers it over the
@@ -51,7 +53,7 @@ fn kind_index(kind: SegmentKind) -> usize {
 /// Per-`module:op` aggregates for one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModuleStat {
-    /// Completed spans (every nesting level, like the trace report).
+    /// Completed spans, counted at every nesting level.
     pub calls: u64,
     /// Total span time across all tracks (concurrent spans sum).
     pub total_ns: u64,
@@ -63,8 +65,8 @@ pub struct ModuleStat {
     pub path_rank: Option<usize>,
 }
 
-/// One worker's busy aggregate, keyed by `(rank, label)` so the same
-/// worker matches across runs and trace reloads.
+/// One worker's busy aggregate. A diff pairs workers by rank and busy
+/// order, not by label: thread names say nothing about a worker's role.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStat {
     /// Simulated rank (`None` for rankless tracks).
@@ -123,22 +125,6 @@ pub struct DiffInput {
     pub dag: DagSignature,
 }
 
-/// True when this profile came from a lossy trace: the critical path and
-/// DAG alignment below it are PARTIAL.
-impl DiffInput {
-    /// Whether the underlying trace was lossy.
-    pub fn partial(&self) -> bool {
-        self.dropped > 0 || self.orphan_delivers > 0
-    }
-}
-
-struct TaskRec {
-    parent: u64,
-    spawn_ts: u64,
-    begin_ts: u64,
-    track: usize,
-}
-
 /// FNV-1a fold step, the signature hash.
 fn fnv(h: u64, v: u64) -> u64 {
     let mut h = h;
@@ -149,14 +135,17 @@ fn fnv(h: u64, v: u64) -> u64 {
     h
 }
 
-fn dag_signatures(tasks: &BTreeMap<u64, TaskRec>) -> Vec<u64> {
+fn dag_signatures(tasks: &BTreeMap<u64, TaskRecord>) -> Vec<u64> {
+    // The DAG holds the tasks whose spawn or begin was traced (a record
+    // joined only from an end or acquisition event has no place in it).
+    let traced = |r: &TaskRecord| r.spawn_ts != 0 || r.begin_ts != 0;
     // Children sorted by spawn time: the ordinal is the structural
     // position, stable across runs of a deterministic workload.
     let mut children: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
     let mut roots: Vec<(u64, u64)> = Vec::new();
-    for (&id, rec) in tasks {
+    for (&id, rec) in tasks.iter().filter(|(_, r)| traced(r)) {
         let key = rec.spawn_ts.max(rec.begin_ts);
-        if rec.parent != 0 && tasks.contains_key(&rec.parent) {
+        if rec.parent != 0 && tasks.get(&rec.parent).is_some_and(traced) {
             children.entry(rec.parent).or_default().push((key, id));
         } else {
             roots.push((key, id));
@@ -192,128 +181,58 @@ fn dag_signatures(tasks: &BTreeMap<u64, TaskRec>) -> Vec<u64> {
     out
 }
 
-fn hist_record(h: &mut HistogramSnapshot, v: u64) {
-    h.buckets[bucket_index(v)] += 1;
-    h.count += 1;
-    h.sum += v;
-    h.max = h.max.max(v);
-}
-
 impl DiffInput {
     /// Extracts a diffable profile from drained trace data.
     pub fn from_trace(label: &str, data: &TraceData) -> DiffInput {
-        let analysis = ProfileAnalysis::build(data);
+        DiffInput::from_analysis(label, &ProfileAnalysis::build(data))
+    }
+
+    /// Projects an analysis into a diffable profile.
+    pub fn from_analysis(label: &str, analysis: &ProfileAnalysis) -> DiffInput {
         let mut out = DiffInput {
             label: label.to_string(),
             wall_ns: analysis.wall_ns,
             events: analysis.events,
             dropped: analysis.dropped,
             orphan_delivers: analysis.orphan_delivers,
+            queue: analysis.queue_latency.clone(),
             ..DiffInput::default()
         };
-
-        // Pass 1: task lifecycles (for signatures + queue latency) and
-        // per-track *labeled* top-level module intervals (the analysis
-        // keeps them unlabeled; attribution needs the names).
-        let mut tasks: BTreeMap<u64, TaskRec> = BTreeMap::new();
-        let mut labeled: Vec<Vec<(u64, u64, String)>> = vec![Vec::new(); data.tracks.len()];
-        let mut track_rank: Vec<Option<usize>> = Vec::with_capacity(data.tracks.len());
-        for (ti, track) in data.tracks.iter().enumerate() {
-            track_rank.push(track.rank);
-            let mut module_stack: Vec<(String, u64)> = Vec::new();
-            for e in &track.events {
-                match e.kind {
-                    EventKind::TaskSpawn => {
-                        let rec = tasks.entry(e.a).or_insert(TaskRec {
-                            parent: 0,
-                            spawn_ts: 0,
-                            begin_ts: 0,
-                            track: usize::MAX,
-                        });
-                        rec.parent = e.b;
-                        rec.spawn_ts = e.ts_ns;
-                    }
-                    EventKind::TaskBegin => {
-                        let rec = tasks.entry(e.a).or_insert(TaskRec {
-                            parent: 0,
-                            spawn_ts: 0,
-                            begin_ts: 0,
-                            track: usize::MAX,
-                        });
-                        rec.begin_ts = e.ts_ns;
-                        rec.track = ti;
-                        if rec.spawn_ts != 0 {
-                            hist_record(&mut out.queue, e.ts_ns.saturating_sub(rec.spawn_ts));
-                        }
-                    }
-                    EventKind::ModuleEnter => {
-                        let module = resolve(e.a);
-                        let op = resolve(e.b);
-                        let key = if op.is_empty() {
-                            module.to_string()
-                        } else {
-                            format!("{}:{}", module, op)
-                        };
-                        module_stack.push((key, e.ts_ns));
-                    }
-                    EventKind::ModuleExit => {
-                        if let Some((key, begin)) = module_stack.pop() {
-                            let dur = e.ts_ns.saturating_sub(begin);
-                            let stat = out.modules.entry(key.clone()).or_default();
-                            stat.calls += 1;
-                            stat.total_ns += dur;
-                            if module_stack.is_empty() {
-                                labeled[ti].push((begin, e.ts_ns, key));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
+        for (key, m) in &analysis.modules {
+            out.modules.insert(
+                key.clone(),
+                ModuleStat {
+                    calls: m.calls,
+                    total_ns: m.total_ns,
+                    ..ModuleStat::default()
+                },
+            );
         }
-        // Workers: top-level busy spans per track, keyed (rank, label).
-        let mut workers: BTreeMap<(i64, String), WorkerStat> = BTreeMap::new();
-        for (ti, track) in data.tracks.iter().enumerate() {
-            let mut task_stack: Vec<u64> = Vec::new();
-            let mut busy = 0u64;
-            let mut begun = 0u64;
-            for e in &track.events {
-                match e.kind {
-                    EventKind::TaskBegin => {
-                        begun += 1;
-                        task_stack.push(e.ts_ns);
-                    }
-                    EventKind::TaskEnd => {
-                        if let Some(begin) = task_stack.pop() {
-                            if task_stack.is_empty() {
-                                busy += e.ts_ns.saturating_sub(begin);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if begun == 0 && busy == 0 {
-                continue;
-            }
-            let rank_key = track.rank.map_or(-1, |r| r as i64);
-            let w = workers
-                .entry((rank_key, track.label.clone()))
+
+        // Workers that ran tasks, keyed (rank, label); tracks sharing a key
+        // (threads of successive runtimes in one process) sum.
+        let mut workers: BTreeMap<(Option<usize>, &str), WorkerStat> = BTreeMap::new();
+        for w in analysis
+            .workers
+            .iter()
+            .filter(|w| w.tasks > 0 || w.busy_ns > 0)
+        {
+            let stat = workers
+                .entry((w.rank, &w.label))
                 .or_insert_with(|| WorkerStat {
-                    rank: track_rank[ti],
-                    label: track.label.clone(),
-                    tasks: 0,
-                    busy_ns: 0,
+                    rank: w.rank,
+                    label: w.label.clone(),
+                    ..WorkerStat::default()
                 });
-            w.tasks += begun;
-            w.busy_ns += busy;
+            stat.tasks += w.tasks;
+            stat.busy_ns += w.busy_ns;
         }
         out.workers = workers.into_values().collect();
 
         // Critical path: kind totals plus labeled on-path module overlap.
         // Module-split slices tile the path (analysis invariant), so
         // overlapping *every* compute/module path slice against the owner
-        // track's labeled top-level intervals recovers exactly the path's
+        // track's labeled top-level spans recovers exactly the path's
         // module time, now with names attached.
         if let Some(cp) = &analysis.critical_path {
             out.path_total_ns = cp.total_ns;
@@ -324,14 +243,16 @@ impl DiffInput {
                 if !matches!(seg.kind, SegmentKind::Compute | SegmentKind::Module) {
                     continue;
                 }
-                let Some(rec) = tasks.get(&seg.task) else {
-                    continue;
-                };
-                let Some(intervals) = labeled.get(rec.track) else {
+                let Some(spans) = analysis
+                    .tasks
+                    .get(&seg.task)
+                    .filter(|rec| rec.begin_ts != 0)
+                    .and_then(|rec| analysis.module_spans.get(rec.track))
+                else {
                     continue;
                 };
                 let (s, e) = (seg.start_ns, seg.start_ns + seg.dur_ns);
-                for (is, ie, key) in intervals {
+                for (is, ie, key) in spans {
                     let ov = (*ie).min(e).saturating_sub((*is).max(s));
                     if ov == 0 {
                         continue;
@@ -346,14 +267,19 @@ impl DiffInput {
             }
         }
 
-        // DAG signature.
-        let sigs = dag_signatures(&tasks);
+        let sigs = dag_signatures(&analysis.tasks);
         out.dag = DagSignature {
             tasks: sigs.len() as u64,
             digest: sigs.iter().fold(0u64, |acc, &s| acc ^ s),
             sigs,
         };
         out
+    }
+
+    /// True when this profile came from a lossy trace: the critical path
+    /// and DAG alignment below it are PARTIAL.
+    pub fn partial(&self) -> bool {
+        self.dropped > 0 || self.orphan_delivers > 0
     }
 
     /// Refines the profile with a machine-readable metrics snapshot (a
@@ -645,13 +571,16 @@ pub struct ModuleShift {
     pub cand_share: f64,
 }
 
-/// One worker's utilization before/after.
+/// One worker role's utilization before/after: the rank's n-th busiest
+/// worker in each run.
 #[derive(Debug, Clone)]
 pub struct WorkerShift {
     /// Simulated rank.
     pub rank: Option<usize>,
-    /// Thread label.
-    pub label: String,
+    /// Baseline thread label (empty when the candidate has more workers).
+    pub base_label: String,
+    /// Candidate thread label (empty when the baseline has more workers).
+    pub cand_label: String,
     /// Baseline busy ns.
     pub base_busy_ns: u64,
     /// Candidate busy ns.
@@ -794,33 +723,41 @@ impl TraceDiff {
         out.modules
             .sort_by_key(|m| std::cmp::Reverse(m.delta_total_ns.unsigned_abs()));
 
-        let mut worker_keys: std::collections::BTreeSet<(i64, &String)> =
-            std::collections::BTreeSet::new();
-        for w in base.workers.iter().chain(cand.workers.iter()) {
-            worker_keys.insert((w.rank.map_or(-1, |r| r as i64), &w.label));
-        }
-        let find = |list: &[WorkerStat], rank: i64, label: &str| {
-            list.iter()
-                .find(|w| w.rank.map_or(-1, |r| r as i64) == rank && w.label == label)
-                .cloned()
-                .unwrap_or_default()
-        };
-        for (rank_key, label) in worker_keys {
-            let b = find(&base.workers, rank_key, label);
-            let c = find(&cand.workers, rank_key, label);
-            out.workers.push(WorkerShift {
-                rank: if rank_key < 0 {
-                    None
-                } else {
-                    Some(rank_key as usize)
-                },
-                label: label.clone(),
-                base_busy_ns: b.busy_ns,
-                cand_busy_ns: c.busy_ns,
-                delta_ns: d(c.busy_ns, b.busy_ns),
-                base_util: share_of(b.busy_ns, base.wall_ns),
-                cand_util: share_of(c.busy_ns, cand.wall_ns),
-            });
+        // Workers pair by role, not thread name: within each rank the
+        // busiest baseline worker meets the busiest candidate worker and so
+        // on down, so work that moved between threads diffs to zero.
+        let ranks: std::collections::BTreeSet<Option<usize>> = base
+            .workers
+            .iter()
+            .chain(&cand.workers)
+            .map(|w| w.rank)
+            .collect();
+        for rank in ranks {
+            let by_busy = |list: &[WorkerStat]| {
+                let mut v: Vec<WorkerStat> =
+                    list.iter().filter(|w| w.rank == rank).cloned().collect();
+                v.sort_by(|a, b| {
+                    b.busy_ns
+                        .cmp(&a.busy_ns)
+                        .then_with(|| a.label.cmp(&b.label))
+                });
+                v
+            };
+            let (bs, cs) = (by_busy(&base.workers), by_busy(&cand.workers));
+            for i in 0..bs.len().max(cs.len()) {
+                let b = bs.get(i).cloned().unwrap_or_default();
+                let c = cs.get(i).cloned().unwrap_or_default();
+                out.workers.push(WorkerShift {
+                    rank,
+                    delta_ns: d(c.busy_ns, b.busy_ns),
+                    base_util: share_of(b.busy_ns, base.wall_ns),
+                    cand_util: share_of(c.busy_ns, cand.wall_ns),
+                    base_busy_ns: b.busy_ns,
+                    cand_busy_ns: c.busy_ns,
+                    base_label: b.label,
+                    cand_label: c.label,
+                });
+            }
         }
         out.workers
             .sort_by_key(|w| std::cmp::Reverse(w.delta_ns.unsigned_abs()));
@@ -1017,14 +954,15 @@ impl TraceDiff {
         if !self.workers.is_empty() {
             s.push_str("## Worker utilization\n\n");
             s.push_str(
-                "| rank | worker | baseline busy | candidate busy | delta | util |\n\
-                 |------|--------|---------------|----------------|-------|------|\n",
+                "| rank | baseline worker | candidate worker | baseline busy | candidate busy | delta | util |\n\
+                 |------|-----------------|------------------|---------------|----------------|-------|------|\n",
             );
             for w in &self.workers {
                 s.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {:.1}% -> {:.1}% |\n",
+                    "| {} | {} | {} | {} | {} | {} | {:.1}% -> {:.1}% |\n",
                     w.rank.map_or("-".to_string(), |r| r.to_string()),
-                    w.label,
+                    w.base_label,
+                    w.cand_label,
                     fmt_ns(w.base_busy_ns),
                     fmt_ns(w.cand_busy_ns),
                     pm(w.delta_ns),
@@ -1149,7 +1087,8 @@ impl TraceDiff {
                         if let Some(r) = w.rank {
                             obj.insert("rank".to_string(), n(r as u64));
                         }
-                        obj.insert("label".to_string(), Json::from(w.label.as_str()));
+                        obj.insert("base_label".to_string(), Json::from(w.base_label.as_str()));
+                        obj.insert("cand_label".to_string(), Json::from(w.cand_label.as_str()));
                         obj.insert("base_busy_ns".to_string(), n(w.base_busy_ns));
                         obj.insert("cand_busy_ns".to_string(), n(w.cand_busy_ns));
                         obj.insert("delta_ns".to_string(), i(w.delta_ns));
@@ -1170,18 +1109,6 @@ impl TraceDiff {
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2} us", ns as f64 / 1e3)
-    } else {
-        format!("{} ns", ns)
-    }
-}
-
 fn fmt_delta(ns: i64) -> String {
     if ns < 0 {
         format!("-{}", fmt_ns(ns.unsigned_abs()))
@@ -1199,7 +1126,7 @@ impl fmt::Display for TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::TraceEvent;
+    use crate::ring::{EventKind, TraceEvent};
     use crate::{TraceData, TrackData};
 
     fn e(ts: u64, kind: EventKind, a: u64, b: u64, c: u64) -> TraceEvent {
@@ -1351,27 +1278,101 @@ mod tests {
     }
 
     #[test]
+    fn queue_latency_counts_a_spawn_traced_after_its_begin_track() {
+        // Task 7 begins on track 0; its spawn sits on track 1, which the
+        // walk reaches only after the begin.
+        let data = TraceData {
+            tracks: vec![
+                TrackData {
+                    label: "hiper-worker-0".into(),
+                    events: vec![
+                        e(300, EventKind::TaskBegin, 7, 0, 0),
+                        e(400, EventKind::TaskEnd, 7, 0, 0),
+                    ],
+                    dropped: 0,
+                    rank: None,
+                },
+                TrackData {
+                    label: "main".into(),
+                    events: vec![e(100, EventKind::TaskSpawn, 7, 0, 0)],
+                    dropped: 0,
+                    rank: None,
+                },
+            ],
+        };
+        let input = DiffInput::from_trace("run", &data);
+        assert_eq!(input.queue.count, 1);
+        assert_eq!(input.queue.sum, 200);
+    }
+
+    #[test]
+    fn workers_pair_by_busy_order_not_thread_name() {
+        // The same work moved from worker-0 to worker-1 between the runs.
+        let worker = |label: &str, tasks: u64, busy_ns: u64| WorkerStat {
+            rank: Some(0),
+            label: label.into(),
+            tasks,
+            busy_ns,
+        };
+        let base = DiffInput {
+            wall_ns: 1_000,
+            workers: vec![
+                worker("hiper-worker-0", 90, 800),
+                worker("hiper-worker-1", 10, 100),
+            ],
+            ..DiffInput::default()
+        };
+        let cand = DiffInput {
+            wall_ns: 1_000,
+            workers: vec![
+                worker("hiper-worker-0", 10, 100),
+                worker("hiper-worker-1", 90, 800),
+            ],
+            ..DiffInput::default()
+        };
+        let diff = TraceDiff::build(&base, &cand, DiffOptions::default());
+        assert_eq!(diff.workers.len(), 2);
+        assert!(
+            diff.workers.iter().all(|w| w.delta_ns == 0),
+            "{:?}",
+            diff.workers
+        );
+        let busiest = diff
+            .workers
+            .iter()
+            .find(|w| w.base_busy_ns == 800)
+            .expect("busiest role present");
+        assert_eq!(busiest.base_label, "hiper-worker-0");
+        assert_eq!(busiest.cand_label, "hiper-worker-1");
+        let md = diff.to_markdown();
+        assert!(
+            md.contains("| 0 | hiper-worker-0 | hiper-worker-1 |"),
+            "{md}"
+        );
+    }
+
+    #[test]
     fn dag_signatures_ignore_task_ids() {
         // Same shape, shifted ids and timestamps: signatures must match.
         let shape = |id0: u64, t0: u64| {
             let mut tasks = BTreeMap::new();
             tasks.insert(
                 id0,
-                TaskRec {
+                TaskRecord {
                     parent: 0,
                     spawn_ts: t0,
                     begin_ts: t0 + 1,
-                    track: 0,
+                    ..TaskRecord::default()
                 },
             );
             for k in 0..3u64 {
                 tasks.insert(
                     id0 + 1 + k,
-                    TaskRec {
+                    TaskRecord {
                         parent: id0,
                         spawn_ts: t0 + 10 + k,
                         begin_ts: t0 + 20 + k,
-                        track: 0,
+                        ..TaskRecord::default()
                     },
                 );
             }
@@ -1382,38 +1383,38 @@ mod tests {
         let mut tasks = BTreeMap::new();
         tasks.insert(
             1,
-            TaskRec {
+            TaskRecord {
                 parent: 0,
                 spawn_ts: 100,
                 begin_ts: 101,
-                track: 0,
+                ..TaskRecord::default()
             },
         );
         tasks.insert(
             2,
-            TaskRec {
+            TaskRecord {
                 parent: 1,
                 spawn_ts: 110,
                 begin_ts: 120,
-                track: 0,
+                ..TaskRecord::default()
             },
         );
         tasks.insert(
             3,
-            TaskRec {
+            TaskRecord {
                 parent: 2,
                 spawn_ts: 111,
                 begin_ts: 121,
-                track: 0,
+                ..TaskRecord::default()
             },
         );
         tasks.insert(
             4,
-            TaskRec {
+            TaskRecord {
                 parent: 1,
                 spawn_ts: 112,
                 begin_ts: 122,
-                track: 0,
+                ..TaskRecord::default()
             },
         );
         assert_ne!(shape(1, 100), dag_signatures(&tasks));

@@ -5,8 +5,10 @@
 //! timestamped structured events — task lifecycle, scheduler transitions,
 //! module entry/exit, simulated-network sends and deliveries — recorded
 //! into per-thread lock-free ring buffers and exported as Chrome
-//! trace-event JSON (loadable in Perfetto / `chrome://tracing`) plus a
-//! compact aggregated report.
+//! trace-event JSON (loadable in Perfetto / `chrome://tracing`). One
+//! walk over the drained events, [`analysis::ProfileAnalysis`], answers
+//! where the time went: per worker, per module, on the critical path and
+//! in the scheduler queues.
 //!
 //! # Cost model
 //!
@@ -23,7 +25,7 @@
 //! // In a binary: honor --trace <out.json> / HIPER_TRACE=out.json.
 //! let session = hiper_trace::session_from_env_args();
 //! // ... run traced work ...
-//! drop(session); // drains all rings, writes the JSON, prints the report path
+//! drop(session); // drains all rings, writes the JSON, prints the profile summary
 //! ```
 //!
 //! Rings are *drop-oldest*: a thread that outruns its ring overwrites its
@@ -34,7 +36,6 @@ pub mod analysis;
 pub mod chrome;
 pub mod clock;
 pub mod diff;
-pub mod report;
 mod ring;
 
 pub use ring::{EventKind, EventRing, TraceEvent};
@@ -351,12 +352,11 @@ pub fn snapshot() -> TraceData {
 }
 
 /// An enabled tracing session that, on [`finish`](TraceSession::finish) (or
-/// drop), disables tracing, drains every ring, and writes Chrome-trace JSON
-/// to its output path.
+/// drop), disables tracing, drains every ring, writes Chrome-trace JSON to
+/// its output path, and prints the run's [`analysis::ProfileAnalysis`] to
+/// stderr.
 pub struct TraceSession {
     path: std::path::PathBuf,
-    /// Also print the aggregated report to stderr at finish.
-    pub report: bool,
     finished: bool,
 }
 
@@ -367,7 +367,6 @@ impl TraceSession {
         set_enabled(true);
         TraceSession {
             path: path.into(),
-            report: true,
             finished: false,
         }
     }
@@ -401,16 +400,13 @@ impl TraceSession {
                 registry().ring_capacity
             );
         }
-        if self.report {
-            let rpt = report::TraceReport::build(&data);
-            eprintln!(
-                "[hiper-trace] wrote {} ({} events, {} dropped)",
-                self.path.display(),
-                data.len(),
-                data.dropped()
-            );
-            eprintln!("{}", rpt);
-        }
+        eprintln!(
+            "[hiper-trace] wrote {} ({} events, {} dropped)",
+            self.path.display(),
+            data.len(),
+            data.dropped()
+        );
+        eprintln!("{}", analysis::ProfileAnalysis::build(&data));
         Ok(data)
     }
 }
@@ -426,6 +422,19 @@ impl Drop for TraceSession {
                 );
             }
         }
+    }
+}
+
+/// Formats a nanosecond duration with a unit that keeps it readable.
+pub(crate) fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.3} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.3} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.2} us", ns as f64 / 1e3)
+    } else {
+        format!("{} ns", ns)
     }
 }
 

@@ -16,8 +16,7 @@ use hiper::prelude::*;
 #[test]
 fn traced_run_produces_valid_chrome_json() {
     let path = std::env::temp_dir().join(format!("hiper_trace_it_{}.json", std::process::id()));
-    let mut session = hiper::trace::TraceSession::start(&path);
-    session.report = false;
+    let session = hiper::trace::TraceSession::start(&path);
 
     // Local task + forasync workload on a 2-worker runtime. The explicit
     // spawns pin the task-span count: forasync splits adaptively (it only
